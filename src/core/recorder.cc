@@ -38,11 +38,13 @@ Recorder::~Recorder() = default;
 void Recorder::SetObservability(const Observability& obs) {
   tracer_ = obs.tracer;
   lifecycle_ = obs.lifecycle;
+  counters_.clear();
   if (obs.metrics != nullptr) {
-    obs_frames_seen_ = obs.metrics->GetCounter("recorder.frames_seen");
-    obs_messages_published_ = obs.metrics->GetCounter("recorder.messages_published");
-    obs_bytes_published_ = obs.metrics->GetCounter("recorder.bytes_published");
-    obs_checkpoints_stored_ = obs.metrics->GetCounter("recorder.checkpoints_stored");
+    obs.metrics->BindCounters(&counters_, {},
+                              {{"recorder.frames_seen", &stats_.frames_seen},
+                               {"recorder.messages_published", &stats_.messages_published},
+                               {"recorder.bytes_published", &stats_.bytes_published},
+                               {"recorder.checkpoints_stored", &stats_.checkpoints_stored}});
     obs_publish_cost_ = obs.metrics->GetHistogram("recorder.publish_cost_ms");
     // Cumulative publish CPU as a gauge: the watchdog's saturation rule reads
     // its per-window growth rate (ms of CPU per ms of virtual time).
@@ -50,10 +52,6 @@ void Recorder::SetObservability(const Observability& obs) {
         "recorder.publish_cpu_ms", {{"node", ToString(options_.node)}});
     obs_publish_cpu_->Set(ToMillis(stats_.publish_cpu));
   } else {
-    obs_frames_seen_ = nullptr;
-    obs_messages_published_ = nullptr;
-    obs_bytes_published_ = nullptr;
-    obs_checkpoints_stored_ = nullptr;
     obs_publish_cost_ = nullptr;
     obs_publish_cpu_ = nullptr;
   }
@@ -67,9 +65,6 @@ bool Recorder::OnWireFrame(const Frame& frame) {
     return false;
   }
   ++stats_.frames_seen;
-  if (obs_frames_seen_ != nullptr) {
-    obs_frames_seen_->Add(1);
-  }
   if (!frame.segments.empty()) {
     // Replay-burst gather frames.  Counted before the own-transmission check
     // below: bursts originate from the recovery manager on this node, and
@@ -153,9 +148,7 @@ bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body)
   stats_.publish_cpu += publish_cost;
   ++stats_.messages_published;
   stats_.bytes_published += wire_bytes;
-  if (obs_messages_published_ != nullptr) {
-    obs_messages_published_->Add(1);
-    obs_bytes_published_->Add(wire_bytes);
+  if (obs_publish_cost_ != nullptr) {
     obs_publish_cost_->Observe(ToMillis(publish_cost));
     obs_publish_cpu_->Set(ToMillis(stats_.publish_cpu));
   }
@@ -252,9 +245,6 @@ bool Recorder::ApplyNotice(const Packet& packet) {
       auto checkpoint = DecodeCheckpoint(packet.body);
       if (checkpoint.ok()) {
         ++stats_.checkpoints_stored;
-        if (obs_checkpoints_stored_ != nullptr) {
-          obs_checkpoints_stored_->Add(1);
-        }
         storage_->StoreCheckpoint(checkpoint->pid, std::move(checkpoint->state),
                                   checkpoint->reads_done);
       }
@@ -264,9 +254,6 @@ bool Recorder::ApplyNotice(const Packet& packet) {
       auto checkpoint = DecodeNodeCheckpoint(packet.body);
       if (checkpoint.ok()) {
         ++stats_.checkpoints_stored;
-        if (obs_checkpoints_stored_ != nullptr) {
-          obs_checkpoints_stored_->Add(1);
-        }
         storage_->StoreNodeCheckpoint(checkpoint->node, std::move(checkpoint->image),
                                       checkpoint->node_step);
       }

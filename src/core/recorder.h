@@ -152,12 +152,9 @@ class Recorder : public PromiscuousListener, public ReadOrderFeed {
   // Observability handles (null = detached).
   Tracer* tracer_ = nullptr;
   LifecycleTracker* lifecycle_ = nullptr;
-  Counter* obs_frames_seen_ = nullptr;
-  Counter* obs_messages_published_ = nullptr;
-  Counter* obs_bytes_published_ = nullptr;
-  Counter* obs_checkpoints_stored_ = nullptr;
   Histogram* obs_publish_cost_ = nullptr;
   Gauge* obs_publish_cpu_ = nullptr;
+  std::vector<CounterBinding> counters_;  // recorder.* read stats_.
 };
 
 }  // namespace publishing

@@ -20,27 +20,22 @@ RecoveryManager::~RecoveryManager() = default;
 
 void RecoveryManager::SetObservability(const Observability& obs) {
   tracer_ = obs.tracer;
+  counters_.clear();
   if (obs.metrics != nullptr) {
-    obs_recoveries_started_ = obs.metrics->GetCounter("recovery.started");
-    obs_recoveries_completed_ = obs.metrics->GetCounter("recovery.completed");
-    obs_node_crashes_ = obs.metrics->GetCounter("recovery.node_crashes_detected");
-    obs_replayed_messages_ = obs.metrics->GetCounter("recovery.replayed_messages");
-    obs_replay_bursts_ = obs.metrics->GetCounter("recovery.replay_bursts_sent");
-    obs_replay_burst_retransmits_ =
-        obs.metrics->GetCounter("recovery.replay_burst_retransmits");
-    obs_recoveries_deferred_ = obs.metrics->GetCounter("recovery.deferred");
+    obs.metrics->BindCounters(
+        &counters_, {},
+        {{"recovery.started", &stats_.process_recoveries_started},
+         {"recovery.completed", &stats_.process_recoveries_completed},
+         {"recovery.node_crashes_detected", &stats_.node_crashes_detected},
+         {"recovery.replayed_messages", &stats_.replayed_messages},
+         {"recovery.replay_bursts_sent", &stats_.replay_bursts_sent},
+         {"recovery.replay_burst_retransmits", &stats_.replay_burst_retransmits},
+         {"recovery.deferred", &stats_.recoveries_deferred}});
     // Byte-budget occupancy: replay bytes in flight against
     // max_outstanding_replay_bytes, the back-pressure the timeline watches.
     obs_outstanding_bytes_ = obs.metrics->GetGauge("recovery.outstanding_replay_bytes");
     obs_outstanding_bytes_->Set(static_cast<double>(outstanding_replay_bytes_));
   } else {
-    obs_recoveries_started_ = nullptr;
-    obs_recoveries_completed_ = nullptr;
-    obs_node_crashes_ = nullptr;
-    obs_replayed_messages_ = nullptr;
-    obs_replay_bursts_ = nullptr;
-    obs_replay_burst_retransmits_ = nullptr;
-    obs_recoveries_deferred_ = nullptr;
     obs_outstanding_bytes_ = nullptr;
   }
 }
@@ -137,9 +132,6 @@ void RecoveryManager::DeclareNodeCrashed(NodeId node) {
   NodeWatch& watch = watches_[node];
   watch.declared_down = true;
   ++stats_.node_crashes_detected;
-  if (obs_node_crashes_ != nullptr) {
-    obs_node_crashes_->Add(1);
-  }
   if (tracer_ != nullptr) {
     tracer_->Instant("recovery.node_crash_detected", "recovery", obs_track::kRecovery,
                      {{"node", std::to_string(node.value)}});
@@ -279,9 +271,6 @@ void RecoveryManager::StartRecovery(const ProcessId& pid, NodeId target_node) {
     pending_.emplace_back(pid, target_node);
     pending_set_.insert(pid);
     ++stats_.recoveries_deferred;
-    if (obs_recoveries_deferred_ != nullptr) {
-      obs_recoveries_deferred_->Add(1);
-    }
     if (tracer_ != nullptr) {
       tracer_->Instant("recovery.deferred", "recovery", obs_track::kRecovery,
                        {{"pid", ToString(pid)},
@@ -331,9 +320,6 @@ void RecoveryManager::AdmitRecovery(const ProcessId& pid, NodeId target_node) {
   }
 
   ++stats_.process_recoveries_started;
-  if (obs_recoveries_started_ != nullptr) {
-    obs_recoveries_started_->Add(1);
-  }
   if (tracer_ != nullptr) {
     rp.span_id = tracer_->BeginSpan(
         "recovery.process", "recovery", obs_track::kRecovery,
@@ -376,9 +362,7 @@ void RecoveryManager::BeginReplay(RecoveryProcess& rp) {
          {"bytes", std::to_string(cursor.payload_bytes())},
          {"mode", options_.pipelined_replay ? "pipelined" : "stop_and_wait"}});
   }
-  if (obs_replayed_messages_ != nullptr) {
-    obs_replayed_messages_->Add(cursor.size());
-  }
+  stats_.replayed_messages += cursor.size();
   if (!options_.pipelined_replay) {
     // Baseline (§4.7 verbatim): inject every published message one at a
     // time, flagged as replay so the duplicate cache lets it through.  The
@@ -445,9 +429,6 @@ void RecoveryManager::SendBurst(RecoveryProcess& rp, size_t index) {
                                    static_cast<uint32_t>(burst.segments.size())});
   packet.segments = burst.segments;  // Shared views; zero payload bytes copied.
   ++stats_.replay_bursts_sent;
-  if (obs_replay_bursts_ != nullptr) {
-    obs_replay_bursts_->Add(1);
-  }
   recorder_->endpoint().Send(std::move(packet));
 }
 
@@ -504,9 +485,6 @@ void RecoveryManager::OnReplayTimeout(const ProcessId& pid, uint64_t round) {
   for (size_t i = rp.highest_acked; i < rp.next_burst; ++i) {
     SendBurst(rp, i);
     ++stats_.replay_burst_retransmits;
-    if (obs_replay_burst_retransmits_ != nullptr) {
-      obs_replay_burst_retransmits_->Add(1);
-    }
   }
   if (tracer_ != nullptr) {
     tracer_->Instant("recovery.replay_retransmit", "recovery", obs_track::kRecovery,
@@ -563,9 +541,6 @@ void RecoveryManager::StartNodeRecovery(NodeId node) {
   ProcessId kernel_pid{node, NodeKernel::kKernelLocalId};
   req.last_sent.emplace_back(kernel_pid, recorder_->storage().LastSent(kernel_pid));
   ++stats_.process_recoveries_started;
-  if (obs_recoveries_started_ != nullptr) {
-    obs_recoveries_started_->Add(1);
-  }
   if (tracer_ != nullptr) {
     nr.span_id = tracer_->BeginSpan(
         "recovery.process", "recovery", obs_track::kRecovery,
@@ -595,9 +570,7 @@ void RecoveryManager::BeginNodeReplay(NodeRecovery& nr) {
         {{"node", std::to_string(nr.node.value)},
          {"messages", std::to_string(node_replay.size())}});
   }
-  if (obs_replayed_messages_ != nullptr) {
-    obs_replayed_messages_->Add(node_replay.size());
-  }
+  stats_.replayed_messages += node_replay.size();
   for (const StableStorage::NodeLogEntry& entry : node_replay) {
     // Serialize straight from the stored Buffer view — no counted ToBytes
     // materialization on the replay path.
@@ -690,9 +663,6 @@ bool RecoveryManager::HandlePacket(const Packet& packet) {
         recoveries_.erase(it);
         recorder_->storage().SetRecovering(pid, false);
         ++stats_.process_recoveries_completed;
-        if (obs_recoveries_completed_ != nullptr) {
-          obs_recoveries_completed_->Add(1);
-        }
         PUB_LOG_INFO("recovery: %s recovered", ToString(pid).c_str());
         if (recovery_done_) {
           recovery_done_(pid);
@@ -738,9 +708,6 @@ bool RecoveryManager::HandlePacket(const Packet& packet) {
         }
         node_recoveries_.erase(it);
         ++stats_.process_recoveries_completed;
-        if (obs_recoveries_completed_ != nullptr) {
-          obs_recoveries_completed_->Add(1);
-        }
         PUB_LOG_INFO("recovery: node %u recovered as a unit", round->node.value);
         if (recovery_done_) {
           recovery_done_(ProcessId{round->node, NodeKernel::kKernelLocalId});

@@ -95,6 +95,7 @@ struct RecoveryManagerStats {
   uint64_t recursive_recoveries = 0;
   uint64_t state_queries_sent = 0;
   uint64_t stale_state_replies_ignored = 0;
+  uint64_t replayed_messages = 0;  // Log entries handed to replay.
   uint64_t replay_bursts_sent = 0;
   uint64_t replay_burst_retransmits = 0;
   uint64_t recoveries_deferred = 0;  // Queued behind max_concurrent_recoveries.
@@ -251,14 +252,8 @@ class RecoveryManager {
 
   // Observability handles (null = detached).
   Tracer* tracer_ = nullptr;
-  Counter* obs_recoveries_started_ = nullptr;
-  Counter* obs_recoveries_completed_ = nullptr;
-  Counter* obs_node_crashes_ = nullptr;
-  Counter* obs_replayed_messages_ = nullptr;
-  Counter* obs_replay_bursts_ = nullptr;
-  Counter* obs_replay_burst_retransmits_ = nullptr;
-  Counter* obs_recoveries_deferred_ = nullptr;
   Gauge* obs_outstanding_bytes_ = nullptr;
+  std::vector<CounterBinding> counters_;  // recovery.* read stats_.
 };
 
 }  // namespace publishing

@@ -28,13 +28,22 @@ void Gateway::AttachSegment(size_t segment, Medium* medium) {
 
 void Gateway::SetObservability(const Observability& obs, std::string_view label) {
   lifecycle_ = obs.lifecycle;
+  counters_.clear();
   if (obs.metrics != nullptr) {
     const MetricLabels labels = {{"gateway", std::string(label)}};
-    obs_forwarded_ = obs.metrics->GetCounter("gateway.frames_forwarded", labels);
-    obs_bytes_forwarded_ = obs.metrics->GetCounter("gateway.bytes_forwarded", labels);
-    obs_dropped_queue_full_ =
-        obs.metrics->GetCounter("gateway.dropped_queue_full", labels);
-    obs_dropped_down_ = obs.metrics->GetCounter("gateway.dropped_down", labels);
+    // Every part stats() merges binds the same four counters.
+    std::vector<const GatewayStats*> parts = {&control_stats_};
+    for (const auto& egress : egresses_) {
+      parts.push_back(&egress->ingress_stats);
+      parts.push_back(&egress->forward_stats);
+    }
+    for (const GatewayStats* part : parts) {
+      obs.metrics->BindCounters(&counters_, labels,
+                                {{"gateway.frames_forwarded", &part->frames_forwarded},
+                                 {"gateway.bytes_forwarded", &part->bytes_forwarded},
+                                 {"gateway.dropped_queue_full", &part->dropped_queue_full},
+                                 {"gateway.dropped_down", &part->dropped_down}});
+    }
     for (auto& egress : egresses_) {
       egress->depth_gauge = obs.metrics->GetGauge(
           "gateway.queue_depth",
@@ -43,10 +52,6 @@ void Gateway::SetObservability(const Observability& obs, std::string_view label)
       egress->depth_gauge->Set(static_cast<double>(egress->queue.size()));
     }
   } else {
-    obs_forwarded_ = nullptr;
-    obs_bytes_forwarded_ = nullptr;
-    obs_dropped_queue_full_ = nullptr;
-    obs_dropped_down_ = nullptr;
     for (auto& egress : egresses_) {
       egress->depth_gauge = nullptr;
     }
@@ -58,9 +63,6 @@ void Gateway::SetDown(bool down) {
   if (down_) {
     for (auto& egress : egresses_) {
       control_stats_.dropped_down += egress->queue.size();
-      if (obs_dropped_down_ != nullptr) {
-        obs_dropped_down_->Add(egress->queue.size());
-      }
       egress->queue.clear();
       egress->queued_bytes = 0;
       egress->draining = false;
@@ -122,9 +124,6 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
     // The supervisor still routes through us but we are dead: the frame is
     // lost until the map reroutes or we restart (retransmission covers it).
     ++ingress->ingress_stats.dropped_down;
-    if (obs_dropped_down_ != nullptr) {
-      obs_dropped_down_->Add(1);
-    }
     return;
   }
   Egress* egress = FindEgress(hop->egress);
@@ -139,9 +138,6 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
     // back-pressure the sender.  The loss charges the ingress side — it is
     // this domain's event, and the forward side may be mid-drain elsewhere.
     ++ingress->ingress_stats.dropped_queue_full;
-    if (obs_dropped_queue_full_ != nullptr) {
-      obs_dropped_queue_full_->Add(1);
-    }
     return;
   }
   // The frame's payload and gather segments are shared buffers — queueing is
@@ -182,10 +178,6 @@ void Gateway::DrainOne(size_t egress_index) {
 
   ++egress.forward_stats.frames_forwarded;
   egress.forward_stats.bytes_forwarded += frame.WireBytes();
-  if (obs_forwarded_ != nullptr) {
-    obs_forwarded_->Add(1);
-    obs_bytes_forwarded_->Add(frame.WireBytes());
-  }
   // Ack frames carry no causal stamp; ObserveForwarded's validity guard
   // skips them, matching the medium's kOnWire convention.
   if (lifecycle_ != nullptr && frame.causal.valid() &&

@@ -97,11 +97,11 @@ class Gateway {
   // segment domains never share a written cache line).
   GatewayStats stats() const;
 
-  // Resolves the gateway's instruments under `gateway.*{gateway=label}` —
-  // including one `gateway.queue_depth{gateway,egress}` gauge per attached
-  // egress, updated on every enqueue/drain/flush — and keeps the lifecycle
+  // Binds the per-port stats to the `gateway.*{gateway=label}` counters,
+  // resolves one `gateway.queue_depth{gateway,egress}` gauge per attached
+  // egress (updated on every enqueue/drain/flush), and keeps the lifecycle
   // tracker for kForwarded observations.  Attach every segment before
-  // enabling observability so each egress gets its gauge.  Metrics sinks are
+  // enabling observability so each egress is bound.  Metrics sinks are
   // single-threaded; attaching one forces the engine sequential (the
   // Internet observability policy).
   void SetObservability(const Observability& obs, std::string_view label);
@@ -152,10 +152,7 @@ class Gateway {
 
   // Observability handles (null = detached).
   LifecycleTracker* lifecycle_ = nullptr;
-  Counter* obs_forwarded_ = nullptr;
-  Counter* obs_bytes_forwarded_ = nullptr;
-  Counter* obs_dropped_queue_full_ = nullptr;
-  Counter* obs_dropped_down_ = nullptr;
+  std::vector<CounterBinding> counters_;  // gateway.* read the stats above.
 };
 
 }  // namespace publishing

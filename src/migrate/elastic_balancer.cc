@@ -26,9 +26,13 @@ void ElasticBalancer::Stop() {
 
 double ElasticBalancer::NodeDepth(NodeId node) const {
   // The saturation signal is the per-node kernel.queue_depth gauge the
-  // kernels maintain (queued + pending-live messages across their
-  // processes).  GetGauge resolves the same instrument the kernel writes;
-  // without a registry, ask the kernel directly — same number.
+  // kernels maintain (queued + pending-live + in-service messages across
+  // their processes).  GetGauge resolves the same instrument the kernel
+  // writes.  Without a registry, the kernel scan below is a different
+  // number: the gauge also counts crashed processes and is refreshed only
+  // at enqueue and dispatch, while QueueDepths() skips crashed processes and
+  // reads in-service state now.  The two branches balance differently
+  // (ROADMAP open items).
   MetricsRegistry* metrics = net_->observability().metrics;
   if (metrics != nullptr) {
     return metrics

@@ -28,10 +28,12 @@ void MigrationManager::Start() {
   const Observability& obs = net_->observability();
   lifecycle_ = obs.lifecycle;
   tracer_ = obs.tracer;
+  counters_.clear();
   if (obs.metrics != nullptr) {
-    obs_moves_started_ = obs.metrics->GetCounter("migrate.moves_started");
-    obs_moves_completed_ = obs.metrics->GetCounter("migrate.moves_completed");
-    obs_moves_aborted_ = obs.metrics->GetCounter("migrate.moves_aborted");
+    obs.metrics->BindCounters(&counters_, {},
+                              {{"migrate.moves_started", &stats_.moves_started},
+                               {"migrate.moves_completed", &stats_.moves_completed},
+                               {"migrate.moves_aborted", &stats_.moves_aborted}});
   }
 }
 
@@ -76,9 +78,6 @@ Status MigrationManager::Migrate(const ProcessId& pid, NodeId to_node) {
   move.to_segment = to_segment;
   move.round = next_round_++;
   ++stats_.moves_started;
-  if (obs_moves_started_ != nullptr) {
-    obs_moves_started_->Add(1);
-  }
   if (tracer_ != nullptr) {
     move.span_id = tracer_->BeginSpan(
         "migrate.move", "migrate", obs_track::kMigrate,
@@ -258,9 +257,6 @@ void MigrationManager::OnRecoveryDone(const ProcessId& pid) {
   if (cross_segment) {
     ++stats_.cross_segment_moves;
   }
-  if (obs_moves_completed_ != nullptr) {
-    obs_moves_completed_->Add(1);
-  }
   if (lifecycle_ != nullptr) {
     // One synthetic message id per move keys the kMigrated stage in the
     // lifecycle table; the oracle closes the move window on it.
@@ -304,9 +300,6 @@ void MigrationManager::Abort(const ProcessId& pid, const std::string& reason,
   Move move = std::move(it->second);
   moves_.erase(it);
   ++stats_.moves_aborted;
-  if (obs_moves_aborted_ != nullptr) {
-    obs_moves_aborted_->Add(1);
-  }
   if (unfreeze) {
     SendToKernel(move.from_node,
                  EncodeRecoveryTarget(KernelOp::kStartProcess, {pid, move.round}));

@@ -160,9 +160,7 @@ class MigrationManager {
   // Observability handles (null = detached), resolved at Start().
   LifecycleTracker* lifecycle_ = nullptr;
   Tracer* tracer_ = nullptr;
-  Counter* obs_moves_started_ = nullptr;
-  Counter* obs_moves_completed_ = nullptr;
-  Counter* obs_moves_aborted_ = nullptr;
+  std::vector<CounterBinding> counters_;  // migrate.* read stats_.
 };
 
 }  // namespace publishing

@@ -143,23 +143,19 @@ class Medium {
   void SetObservability(const Observability& obs, std::string_view label) {
     tracer_ = obs.tracer;
     lifecycle_ = obs.lifecycle;
+    counters_.clear();
     if (obs.metrics != nullptr) {
       const MetricLabels labels = {{"medium", std::string(label)}};
-      obs_frames_sent_ = obs.metrics->GetCounter("net.frames_sent", labels);
-      obs_bytes_sent_ = obs.metrics->GetCounter("net.bytes_sent", labels);
-      obs_frames_delivered_ = obs.metrics->GetCounter("net.frames_delivered", labels);
-      obs_frames_vetoed_ = obs.metrics->GetCounter("net.frames_vetoed", labels);
-      obs_frames_corrupted_ = obs.metrics->GetCounter("net.frames_corrupted", labels);
-      obs_collisions_ = obs.metrics->GetCounter("net.collisions", labels);
+      obs.metrics->BindCounters(&counters_, labels,
+                                {{"net.frames_sent", &stats_.frames_sent},
+                                 {"net.bytes_sent", &stats_.bytes_sent},
+                                 {"net.frames_delivered", &stats_.frames_delivered},
+                                 {"net.frames_vetoed", &stats_.frames_vetoed},
+                                 {"net.frames_corrupted", &stats_.frames_corrupted},
+                                 {"net.collisions", &stats_.collisions}});
       obs_queue_delay_ = obs.metrics->GetHistogram("net.queue_delay_ms", labels);
       obs_utilization_ = obs.metrics->GetGauge("net.channel_utilization", labels);
     } else {
-      obs_frames_sent_ = nullptr;
-      obs_bytes_sent_ = nullptr;
-      obs_frames_delivered_ = nullptr;
-      obs_frames_vetoed_ = nullptr;
-      obs_frames_corrupted_ = nullptr;
-      obs_collisions_ = nullptr;
       obs_queue_delay_ = nullptr;
       obs_utilization_ = nullptr;
     }
@@ -233,15 +229,12 @@ class Medium {
   const MediumFaults& faults() const { return faults_; }
 
   // --- Accounting helpers shared by the concrete media ---
-  // Each updates the legacy MediumStats and, when attached, the registry;
-  // concrete media call these instead of poking stats_ fields directly.
+  // Each updates MediumStats (the registry's counters read it) plus any
+  // attached histogram, gauge or sink; concrete media call these instead of
+  // poking stats_ fields directly.
   void NoteFrameSent(const Frame& frame) {
     ++stats_.frames_sent;
     stats_.bytes_sent += frame.WireBytes();
-    if (obs_frames_sent_ != nullptr) {
-      obs_frames_sent_->Add(1);
-      obs_bytes_sent_->Add(frame.WireBytes());
-    }
     // Ack frames carry no causal stamp (the ack stage is observed by the
     // transport, which still knows the acked packet's flags).
     if (lifecycle_ != nullptr && frame.causal.valid() && frame.type != FrameType::kAck) {
@@ -256,15 +249,9 @@ class Medium {
   }
   void NoteCollision() {
     ++stats_.collisions;
-    if (obs_collisions_ != nullptr) {
-      obs_collisions_->Add(1);
-    }
   }
   void NoteVetoed(const Frame& frame) {
     ++stats_.frames_vetoed;
-    if (obs_frames_vetoed_ != nullptr) {
-      obs_frames_vetoed_->Add(1);
-    }
     if (tracer_ != nullptr) {
       tracer_->Instant("net.veto", "net", obs_track::kNet,
                        {{"type", FrameTypeName(frame.type)}});
@@ -296,14 +283,8 @@ class Medium {
         fault_rng_.NextBernoulli(faults_.receiver_error_rate)) {
       copy.corrupted = true;
       ++stats_.frames_corrupted;
-      if (obs_frames_corrupted_ != nullptr) {
-        obs_frames_corrupted_->Add(1);
-      }
     }
     ++stats_.frames_delivered;
-    if (obs_frames_delivered_ != nullptr) {
-      obs_frames_delivered_->Add(1);
-    }
     station->OnFrame(copy);
   }
 
@@ -325,17 +306,14 @@ class Medium {
   // Observability handles (null = detached).
   Tracer* tracer_ = nullptr;
   LifecycleTracker* lifecycle_ = nullptr;
-  Counter* obs_frames_sent_ = nullptr;
-  Counter* obs_bytes_sent_ = nullptr;
-  Counter* obs_frames_delivered_ = nullptr;
-  Counter* obs_frames_vetoed_ = nullptr;
-  Counter* obs_frames_corrupted_ = nullptr;
-  Counter* obs_collisions_ = nullptr;
   Histogram* obs_queue_delay_ = nullptr;
   Gauge* obs_utilization_ = nullptr;
 
  protected:
   MediumStats stats_;
+
+ private:
+  std::vector<CounterBinding> counters_;  // net.* read stats_; after it.
 };
 
 }  // namespace publishing

@@ -77,25 +77,24 @@ void LifecycleTracker::AttachTracer(Tracer* tracer) {
 }
 
 void LifecycleTracker::AttachMetrics(MetricsRegistry* metrics) {
+  counters_.clear();
+  for (size_t i = 0; i < kLifecycleStageCount; ++i) {
+    since_sent_ms_[i] = nullptr;
+  }
   if (metrics == nullptr) {
-    for (size_t i = 0; i < kLifecycleStageCount; ++i) {
-      stage_counters_[i] = nullptr;
-      since_sent_ms_[i] = nullptr;
-    }
-    faults_ = nullptr;
-    evictions_ = nullptr;
     return;
   }
   for (size_t i = 0; i < kLifecycleStageCount; ++i) {
     const char* stage = LifecycleStageName(static_cast<LifecycleStage>(i));
-    stage_counters_[i] = metrics->GetCounter("lifecycle.stage", {{"stage", stage}});
+    counters_.push_back(
+        metrics->BindCounter("lifecycle.stage", {{"stage", stage}}, &stage_counts_[i]));
     // sent -> sent latency is always zero; no histogram for it.
-    since_sent_ms_[i] =
-        i == 0 ? nullptr
-               : metrics->GetHistogram("lifecycle.since_sent_ms", {{"stage", stage}});
+    if (i != 0) {
+      since_sent_ms_[i] = metrics->GetHistogram("lifecycle.since_sent_ms", {{"stage", stage}});
+    }
   }
-  faults_ = metrics->GetCounter("lifecycle.faults");
-  evictions_ = metrics->GetCounter("lifecycle.evictions");
+  counters_.push_back(metrics->BindCounter("lifecycle.faults", {}, &faults_));
+  counters_.push_back(metrics->BindCounter("lifecycle.evictions", {}, &evicted_));
 }
 
 bool LifecycleTracker::TryCapture(const CausalContext& ctx, LifecycleStage stage,
@@ -166,9 +165,6 @@ LifecycleRecord& LifecycleTracker::FindOrCreate(const CausalContext& ctx) {
     insertion_order_.pop_front();
     if (table_.erase(victim) > 0) {
       ++evicted_;
-      if (evictions_ != nullptr) {
-        evictions_->Add();
-      }
     }
   }
   it = table_.emplace(ctx.id, LifecycleRecord{}).first;
@@ -253,9 +249,7 @@ void LifecycleTracker::ObserveEvent(LifecycleEvent& event) {
     }
   }
 
-  if (stage_counters_[s] != nullptr) {
-    stage_counters_[s]->Add();
-  }
+  ++stage_counts_[s];
   const SimTime sent_at = rec.FirstTime(LifecycleStage::kSent);
   if (since_sent_ms_[s] != nullptr && sent_at >= 0 && stage != LifecycleStage::kSent) {
     since_sent_ms_[s]->Observe(ToMillis(event.time - sent_at));
@@ -345,9 +339,7 @@ void LifecycleTracker::NoteProcessReset(const ProcessId& pid) {
 }
 
 void LifecycleTracker::NoteFault(const std::string& kind, const std::string& detail) {
-  if (faults_ != nullptr) {
-    faults_->Add();
-  }
+  ++faults_;
   if (tracer_ != nullptr) {
     tracer_->Instant("fault." + kind, "lifecycle", obs_track::kLifecycle,
                      {{"detail", detail}});

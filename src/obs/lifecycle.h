@@ -38,15 +38,13 @@
 
 #include "src/common/ids.h"
 #include "src/obs/causal.h"
+#include "src/obs/metrics.h"
 #include "src/sim/time.h"
 
 namespace publishing {
 
 class FlightRecorder;
-class Histogram;
-class Counter;
 class InvariantOracle;
-class MetricsRegistry;
 class Simulator;
 struct SimObsRecord;
 class Tracer;
@@ -100,8 +98,8 @@ class LifecycleTracker {
   LifecycleTracker& operator=(const LifecycleTracker&) = delete;
 
   // Optional attachments.  All are borrowed pointers that must outlive the
-  // tracker (or be detached by re-attaching nullptr).  AttachMetrics resolves
-  // every instrument once, per the ScopedMetrics discipline.
+  // tracker (or be detached by re-attaching nullptr).  AttachMetrics binds
+  // the stage, fault and eviction counts to their counters.
   void AttachTracer(Tracer* tracer);
   void AttachMetrics(MetricsRegistry* metrics);
   void AttachOracle(InvariantOracle* oracle) { oracle_ = oracle; }
@@ -151,6 +149,10 @@ class LifecycleTracker {
   // Table access for tests and reporters.
   size_t size() const { return table_.size(); }
   uint64_t observed() const { return next_seq_; }
+  uint64_t observed(LifecycleStage stage) const {
+    return stage_counts_[static_cast<size_t>(stage)];
+  }
+  uint64_t faults() const { return faults_; }
   uint64_t evicted() const { return evicted_; }
   const LifecycleRecord* Find(const MessageId& id) const;
   const std::map<MessageId, LifecycleRecord>& table() const { return table_; }
@@ -187,11 +189,12 @@ class LifecycleTracker {
   InvariantOracle* oracle_ = nullptr;
   FlightRecorder* flight_ = nullptr;
 
-  // Cached instruments (null when no registry attached).
-  Counter* stage_counters_[kLifecycleStageCount] = {};
+  uint64_t stage_counts_[kLifecycleStageCount] = {};  // Observations per stage.
+  uint64_t faults_ = 0;
+
+  // Attached instruments (none without a registry).
   Histogram* since_sent_ms_[kLifecycleStageCount] = {};
-  Counter* faults_ = nullptr;
-  Counter* evictions_ = nullptr;
+  std::vector<CounterBinding> counters_;  // Read the counts above.
 };
 
 }  // namespace publishing

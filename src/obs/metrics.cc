@@ -127,6 +127,52 @@ Counter* MetricsRegistry::GetCounter(std::string_view name, const MetricLabels& 
   return FindOrCreate(counters_, name, labels);
 }
 
+CounterBinding MetricsRegistry::BindCounter(std::string_view name, const MetricLabels& labels,
+                                            const uint64_t* field) {
+  Counter* counter = GetCounter(name, labels);
+  counter->sources_.push_back({field, *field});
+  return CounterBinding(counter, field, lifetime_);
+}
+
+void MetricsRegistry::BindCounters(
+    std::vector<CounterBinding>* out, const MetricLabels& labels,
+    std::initializer_list<std::pair<std::string_view, const uint64_t*>> fields) {
+  for (const auto& [name, field] : fields) {
+    out->push_back(BindCounter(name, labels, field));
+  }
+}
+
+CounterBinding& CounterBinding::operator=(CounterBinding&& other) noexcept {
+  if (this != &other) {
+    Release();
+    counter_ = std::exchange(other.counter_, nullptr);
+    field_ = std::exchange(other.field_, nullptr);
+    registry_ = std::move(other.registry_);
+  }
+  return *this;
+}
+
+void CounterBinding::Release() {
+  if (counter_ == nullptr) {
+    return;
+  }
+  if (!registry_.expired()) {
+    // Components usually release in reverse bind order: search from the back.
+    std::vector<Counter::Source>& sources = counter_->sources_;
+    for (size_t i = sources.size(); i-- > 0;) {
+      if (sources[i].field == field_) {
+        counter_->folded_ += *field_ - sources[i].base;
+        sources[i] = sources.back();
+        sources.pop_back();
+        break;
+      }
+    }
+  }
+  counter_ = nullptr;
+  field_ = nullptr;
+  registry_.reset();
+}
+
 Gauge* MetricsRegistry::GetGauge(std::string_view name, const MetricLabels& labels) {
   return FindOrCreate(gauges_, name, labels);
 }

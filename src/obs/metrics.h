@@ -11,12 +11,15 @@
 // Instruments are identified by a name plus optional labels, rendered as
 // `name{key=value,...}` with labels sorted by key, so the same (name, labels)
 // pair always resolves to the same instrument and snapshots order the same
-// way on every run.  Lookup returns a stable pointer the caller caches once
-// at attach time; the hot path is then a single null check plus an add —
-// the ScopedMetrics/null-object discipline every instrumented component in
-// src/{sim,net,transport,core,storage} follows.  With no registry attached
-// the hooks are dead branches and runs are bit-identical to uninstrumented
-// ones.
+// way on every run.
+//
+// Counters have one source of truth: the component's own `*Stats` field.  At
+// attach time a component binds each field to its counter (BindCounter) and
+// holds the returned CounterBinding; the hot path is then the component's
+// plain `++stats_.field` with no registry branch, and the counter reads the
+// field when sampled.  Gauges and histograms are still resolved once at
+// attach and written through a cached pointer.  With no registry attached
+// nothing is bound and runs are bit-identical to uninstrumented ones.
 //
 // Snapshots serialize to JSON (machine-readable, the BENCH_*.json seed) and
 // CSV; both orderings are lexicographic by key, so two identical runs
@@ -26,6 +29,7 @@
 #define SRC_OBS_METRICS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,13 +48,58 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 // `name{k1=v1,k2=v2}` with labels sorted by key.
 std::string MetricKey(std::string_view name, const MetricLabels& labels);
 
+// A counter's value is what was Add()ed directly plus, for every field bound
+// to it, the field's growth since it was bound.  Releasing a binding folds
+// that growth in, so the counter freezes at its last value instead of
+// dropping it.
 class Counter {
  public:
-  void Add(uint64_t delta = 1) { value_ += delta; }
-  uint64_t value() const { return value_; }
+  void Add(uint64_t delta = 1) { folded_ += delta; }
+  uint64_t value() const {
+    uint64_t total = folded_;
+    for (const Source& source : sources_) {
+      total += *source.field - source.base;
+    }
+    return total;
+  }
 
  private:
-  uint64_t value_ = 0;
+  friend class CounterBinding;
+  friend class MetricsRegistry;
+
+  struct Source {
+    const uint64_t* field;
+    uint64_t base;  // *field when bound.
+  };
+
+  uint64_t folded_ = 0;
+  std::vector<Source> sources_;
+};
+
+// A component's live link from one of its `*Stats` fields to a registry
+// counter.  Move-only; destroying or Release()ing it detaches the field.
+// Either side may go first: a binding whose registry is already destroyed
+// releases as a no-op.  Declare bindings after the fields they read, so the
+// fields outlive them.
+class CounterBinding {
+ public:
+  CounterBinding() = default;
+  ~CounterBinding() { Release(); }
+  CounterBinding(CounterBinding&& other) noexcept { *this = std::move(other); }
+  CounterBinding& operator=(CounterBinding&& other) noexcept;
+  CounterBinding(const CounterBinding&) = delete;
+  CounterBinding& operator=(const CounterBinding&) = delete;
+
+  void Release();
+
+ private:
+  friend class MetricsRegistry;
+  CounterBinding(Counter* counter, const uint64_t* field, std::weak_ptr<void> registry)
+      : counter_(counter), field_(field), registry_(std::move(registry)) {}
+
+  Counter* counter_ = nullptr;
+  const uint64_t* field_ = nullptr;
+  std::weak_ptr<void> registry_;  // Expires when the registry is destroyed.
 };
 
 class Gauge {
@@ -122,6 +171,16 @@ class MetricsRegistry {
   // kind; reusing it with another kind returns a fresh instrument under the
   // same key (last registration wins in the snapshot) — don't.
   Counter* GetCounter(std::string_view name, const MetricLabels& labels = {});
+  // Binds `field` to the (name, labels) counter: from now on the counter
+  // also counts the field's growth.  Many fields may bind one counter (an
+  // aggregate over components).  `field` must stay valid until the binding
+  // is released.
+  CounterBinding BindCounter(std::string_view name, const MetricLabels& labels,
+                             const uint64_t* field);
+  // BindCounter for each (name, field) pair under one label set, appending
+  // the bindings to `out`.
+  void BindCounters(std::vector<CounterBinding>* out, const MetricLabels& labels,
+                    std::initializer_list<std::pair<std::string_view, const uint64_t*>> fields);
   Gauge* GetGauge(std::string_view name, const MetricLabels& labels = {});
   Histogram* GetHistogram(std::string_view name, const MetricLabels& labels = {});
 
@@ -145,6 +204,7 @@ class MetricsRegistry {
   }
 
  private:
+  std::shared_ptr<int> lifetime_ = std::make_shared<int>(0);  // Bindings watch it.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -1,16 +1,19 @@
 // The wiring surface of the observability subsystem.
 //
-// An Observability value is a pair of optional sinks — a MetricsRegistry and
-// a Tracer — handed to each instrumented component.  The default-constructed
-// value (both null) is the null object: every component's hooks resolve to
-// cached null pointers and the instrumentation compiles down to untaken
-// branches, keeping uninstrumented runs bit-identical to the seed behaviour.
+// An Observability value is a set of optional sinks — a MetricsRegistry, a
+// Tracer and a LifecycleTracker — handed to each instrumented component.
+// The default-constructed value (all null) is the null object: nothing is
+// bound or resolved, and uninstrumented runs stay bit-identical to the seed
+// behaviour.
 //
-// Attach pattern (ScopedMetrics discipline): a component's SetObservability
-// resolves every instrument it will ever touch *once* — names, labels, the
-// lot — and stores raw Counter*/Gauge*/Histogram* handles.  Hot paths then
-// cost one predictable null check.  Components must not look instruments up
-// per event.
+// Attach pattern: a component's SetObservability does all its registry work
+// *once*.  Counters bind to the component's own `*Stats` fields
+// (MetricsRegistry::BindCounter), so a count is written in one place, with
+// no registry branch, and the registry reads it; the component holds the
+// CounterBindings, and re-attaching (or detaching with a null registry)
+// releases them first.  Gauges and histograms are resolved to cached
+// Gauge*/Histogram* handles whose hot-path writes cost one null check.
+// Components must not look instruments up per event.
 //
 // PublishingSystem::EnableObservability fans one Observability out to every
 // layer: simulator, medium, transport endpoints, recorder, recovery manager,

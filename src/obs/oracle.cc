@@ -35,13 +35,14 @@ InvariantOracle::InvariantOracle(Options options) : options_(options) {
 }
 
 void InvariantOracle::AttachMetrics(MetricsRegistry* metrics) {
+  counters_.clear();
+  if (metrics == nullptr) {
+    return;
+  }
   for (size_t i = 0; i < kOracleMonitorCount; ++i) {
-    violation_counters_[i] =
-        metrics == nullptr
-            ? nullptr
-            : metrics->GetCounter(
-                  "oracle.violations",
-                  {{"monitor", OracleMonitorName(static_cast<OracleMonitor>(i))}});
+    counters_.push_back(metrics->BindCounter(
+        "oracle.violations", {{"monitor", OracleMonitorName(static_cast<OracleMonitor>(i))}},
+        &violation_counts_[i]));
   }
 }
 
@@ -55,9 +56,6 @@ void InvariantOracle::Violate(OracleMonitor monitor, const MessageId& id,
   const size_t m = static_cast<size_t>(monitor);
   ++total_violations_;
   ++violation_counts_[m];
-  if (violation_counters_[m] != nullptr) {
-    violation_counters_[m]->Add();
-  }
 
   OracleViolation violation;
   violation.monitor = monitor;

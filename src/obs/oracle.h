@@ -56,12 +56,11 @@
 
 #include "src/common/ids.h"
 #include "src/obs/causal.h"
+#include "src/obs/metrics.h"
 
 namespace publishing {
 
-class Counter;
 class FlightRecorder;
-class MetricsRegistry;
 
 enum class OraclePolicy {
   kLog,    // Log each violation (and count it).
@@ -113,7 +112,8 @@ class InvariantOracle {
   InvariantOracle& operator=(const InvariantOracle&) = delete;
 
   // Optional wiring.  The flight recorder is dumped on the first violation
-  // (reason "oracle_violation"); metrics get per-monitor violation counters.
+  // (reason "oracle_violation"); metrics bind per-monitor violation counters
+  // to violations().
   void AttachFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
   void AttachMetrics(MetricsRegistry* metrics);
   // Extra hook for tests (runs on every violation, after recording).
@@ -235,7 +235,7 @@ class InvariantOracle {
   std::deque<OracleViolation> recent_;
 
   FlightRecorder* flight_ = nullptr;
-  Counter* violation_counters_[kOracleMonitorCount] = {};
+  std::vector<CounterBinding> counters_;  // oracle.violations read violation_counts_.
   std::function<void(const OracleViolation&)> hook_;
 };
 

@@ -73,10 +73,10 @@ TimeSeries& TelemetrySampler::Slot(const std::string& key, TimeSeriesKind kind) 
 }
 
 void TelemetrySampler::SampleNow() {
-  // Merge the engine's deferred per-domain tallies (and engine.* gauges)
-  // before reading.  The tick runs on the control domain, so in the parallel
-  // engine every worker is quiesced at this point — this *is* the window
-  // barrier the per-domain counters merge at.
+  // Bring sim.queue_depth and the engine.* gauges up to date before
+  // reading.  The tick runs on the control domain, so in the parallel engine
+  // every worker is quiesced at this point — a window barrier — and the
+  // bound sim.events_* counters read settled per-domain tallies.
   sim_->FlushObsMetrics();
   const SimTime now = sim_->Now();
   for (const auto& [key, counter] : metrics_->counters()) {

@@ -10,9 +10,9 @@
 // Determinism contract: the sampler is a pure reader.  Its tick runs on the
 // root (control) domain — in the parallel engine that means a serialized
 // control batch with every worker quiesced — and begins by flushing the
-// core's deferred per-domain tallies (Simulator::FlushObsMetrics), so
-// per-domain engine counters are merged at a window barrier before the
-// scrape.  Virtual time is worker-invariant, the registry iterates in sorted
+// core's gauges (Simulator::FlushObsMetrics), so sim.queue_depth and the
+// engine.* gauges are current at a window barrier before the scrape; the
+// bound counters read their fields live.  Virtual time is worker-invariant, the registry iterates in sorted
 // key order, and numbers format through FormatMetricValue, so the exported
 // timeline is byte-identical for a fixed seed at any worker count.  Series
 // whose values are wall-clock (never byte-diffable) are declared volatile by
@@ -128,7 +128,7 @@ class TelemetrySampler {
   bool running() const { return task_.running(); }
 
   // Takes one scrape at the current virtual time (also what the periodic
-  // tick does).  Flushes the engine's deferred tallies first.
+  // tick does).  Flushes the engine's gauges first.
   void SampleNow();
 
   // Invoked after every scrape with the sampler and the scrape time — the

@@ -87,28 +87,13 @@ SimCore::~SimCore() {
 
 Simulator* SimCore::AddDomain() {
   assert(!workers_running_);
-  // Switching from a single-domain to a multi-domain core moves the root's
-  // inline per-event counter updates to the deferred per-domain tallies;
-  // capture the tally baselines so only post-switch events get published.
-  if (root_->events_scheduled_ != nullptr) {
-    events_scheduled_ = root_->events_scheduled_;
-    events_fired_ = root_->events_fired_;
-    events_cancelled_ = root_->events_cancelled_;
-    queue_depth_ = root_->queue_depth_;
-    root_->events_scheduled_ = nullptr;
-    root_->events_fired_ = nullptr;
-    root_->events_cancelled_ = nullptr;
-    root_->queue_depth_ = nullptr;
-    pub_scheduled_ = root_->tally_scheduled_;
-    pub_fired_ = root_->tally_fired_;
-    pub_cancelled_ = root_->tally_cancelled_;
-  }
   const uint32_t id = static_cast<uint32_t>(domains_.size());
   owned_domains_.emplace_back(new Simulator(this, id));
   Simulator* dom = owned_domains_.back().get();
   dom->now_ = root_->now_;
   domains_.push_back(dom);
   obs_buf_.resize(domains_.size());
+  BindTallies(dom);
   return dom;
 }
 
@@ -123,18 +108,14 @@ void SimCore::SetLookahead(SimDuration lookahead) {
 }
 
 void SimCore::SetObservability(const Observability& obs) {
-  Counter* scheduled = nullptr;
-  Counter* fired = nullptr;
-  Counter* cancelled = nullptr;
-  Gauge* depth = nullptr;
   metrics_ = obs.metrics;
   eng_domain_events_.clear();
   eng_domain_depth_.clear();
+  for (Simulator* dom : domains_) {
+    BindTallies(dom);
+  }
   if (obs.metrics != nullptr) {
-    scheduled = obs.metrics->GetCounter("sim.events_scheduled");
-    fired = obs.metrics->GetCounter("sim.events_fired");
-    cancelled = obs.metrics->GetCounter("sim.events_cancelled");
-    depth = obs.metrics->GetGauge("sim.queue_depth");
+    queue_depth_ = obs.metrics->GetGauge("sim.queue_depth");
     // Engine introspection: deterministic EngineStats fields as gauges.  The
     // wall-clock fields (run_wall_ns, busy, stall) deliberately stay out —
     // registry exports are byte-diffed across same-seed runs.
@@ -145,6 +126,7 @@ void SimCore::SetObservability(const Observability& obs) {
     eng_window_events_ = obs.metrics->GetGauge("engine.window_events");
     eng_parallel_runs_ = obs.metrics->GetGauge("engine.parallel_runs");
   } else {
+    queue_depth_ = nullptr;
     eng_events_ = nullptr;
     eng_handoffs_ = nullptr;
     eng_spills_ = nullptr;
@@ -152,76 +134,44 @@ void SimCore::SetObservability(const Observability& obs) {
     eng_window_events_ = nullptr;
     eng_parallel_runs_ = nullptr;
   }
-  if (domains_.size() == 1) {
-    // Original engine: exact per-event updates inline on the root.
-    root_->events_scheduled_ = scheduled;
-    root_->events_fired_ = fired;
-    root_->events_cancelled_ = cancelled;
-    root_->queue_depth_ = depth;
-    events_scheduled_ = nullptr;
-    events_fired_ = nullptr;
-    events_cancelled_ = nullptr;
-    queue_depth_ = nullptr;
+}
+
+void SimCore::BindTallies(Simulator* dom) {
+  dom->tally_counters_.clear();
+  if (metrics_ == nullptr) {
     return;
   }
-  events_scheduled_ = scheduled;
-  events_fired_ = fired;
-  events_cancelled_ = cancelled;
-  queue_depth_ = depth;
-  uint64_t sum_scheduled = 0;
-  uint64_t sum_fired = 0;
-  uint64_t sum_cancelled = 0;
-  for (const Simulator* dom : domains_) {
-    sum_scheduled += dom->tally_scheduled_;
-    sum_fired += dom->tally_fired_;
-    sum_cancelled += dom->tally_cancelled_;
-  }
-  pub_scheduled_ = sum_scheduled;
-  pub_fired_ = sum_fired;
-  pub_cancelled_ = sum_cancelled;
+  metrics_->BindCounters(&dom->tally_counters_, {},
+                         {{"sim.events_scheduled", &dom->tallies_.scheduled},
+                          {"sim.events_fired", &dom->tallies_.fired},
+                          {"sim.events_cancelled", &dom->tallies_.cancelled}});
 }
 
 void SimCore::PublishMetrics() {
-  if (eng_events_ != nullptr) {
-    eng_events_->Set(static_cast<double>(stats_.events_executed));
-    eng_handoffs_->Set(static_cast<double>(stats_.handoffs));
-    eng_spills_->Set(static_cast<double>(stats_.handoff_ring_spills));
-    eng_windows_->Set(static_cast<double>(stats_.windows));
-    eng_window_events_->Set(static_cast<double>(stats_.window_events));
-    eng_parallel_runs_->Set(static_cast<double>(stats_.parallel_runs));
-    if (eng_domain_events_.size() != domains_.size()) {
-      eng_domain_events_.resize(domains_.size());
-      eng_domain_depth_.resize(domains_.size());
-      for (size_t d = 0; d < domains_.size(); ++d) {
-        const MetricLabels labels = {{"domain", std::to_string(d)}};
-        eng_domain_events_[d] = metrics_->GetGauge("engine.domain_events", labels);
-        eng_domain_depth_[d] = metrics_->GetGauge("engine.domain_queue_depth", labels);
-      }
-    }
-    for (size_t d = 0; d < domains_.size(); ++d) {
-      eng_domain_events_[d]->Set(static_cast<double>(domains_[d]->exec_count_));
-      eng_domain_depth_[d]->Set(static_cast<double>(domains_[d]->queue_.size()));
-    }
-  }
-  if (events_fired_ == nullptr) {
+  if (metrics_ == nullptr) {
     return;
   }
-  uint64_t sum_scheduled = 0;
-  uint64_t sum_fired = 0;
-  uint64_t sum_cancelled = 0;
-  size_t pending = 0;
-  for (const Simulator* dom : domains_) {
-    sum_scheduled += dom->tally_scheduled_;
-    sum_fired += dom->tally_fired_;
-    sum_cancelled += dom->tally_cancelled_;
-    pending += dom->queue_.size();
+  eng_events_->Set(static_cast<double>(stats_.events_executed));
+  eng_handoffs_->Set(static_cast<double>(stats_.handoffs));
+  eng_spills_->Set(static_cast<double>(stats_.handoff_ring_spills));
+  eng_windows_->Set(static_cast<double>(stats_.windows));
+  eng_window_events_->Set(static_cast<double>(stats_.window_events));
+  eng_parallel_runs_->Set(static_cast<double>(stats_.parallel_runs));
+  if (eng_domain_events_.size() != domains_.size()) {
+    eng_domain_events_.resize(domains_.size());
+    eng_domain_depth_.resize(domains_.size());
+    for (size_t d = 0; d < domains_.size(); ++d) {
+      const MetricLabels labels = {{"domain", std::to_string(d)}};
+      eng_domain_events_[d] = metrics_->GetGauge("engine.domain_events", labels);
+      eng_domain_depth_[d] = metrics_->GetGauge("engine.domain_queue_depth", labels);
+    }
   }
-  events_scheduled_->Add(sum_scheduled - pub_scheduled_);
-  events_fired_->Add(sum_fired - pub_fired_);
-  events_cancelled_->Add(sum_cancelled - pub_cancelled_);
-  pub_scheduled_ = sum_scheduled;
-  pub_fired_ = sum_fired;
-  pub_cancelled_ = sum_cancelled;
+  size_t pending = 0;
+  for (size_t d = 0; d < domains_.size(); ++d) {
+    eng_domain_events_[d]->Set(static_cast<double>(domains_[d]->exec_count_));
+    eng_domain_depth_[d]->Set(static_cast<double>(domains_[d]->queue_.size()));
+    pending += domains_[d]->queue_.size();
+  }
   queue_depth_->Set(static_cast<double>(pending));
 }
 
@@ -276,12 +226,7 @@ void SimCore::ScheduleCross(Simulator* source, Simulator* target, SimDuration de
 void SimCore::DeliverHandoff(HandoffRec* rec) {
   Simulator* dom = rec->target;
   dom->queue_.Insert(rec->when, kHandoffSeqBit | ++handoff_seq_, std::move(rec->action));
-  if (dom->events_scheduled_ != nullptr) {
-    dom->events_scheduled_->Add(1);
-    dom->queue_depth_->Set(static_cast<double>(dom->queue_.size()));
-  } else {
-    ++dom->tally_scheduled_;
-  }
+  ++dom->tallies_.scheduled;
 }
 
 bool SimCore::HandoffRankLess(const HandoffRec& a, const HandoffRec& b) {
@@ -339,12 +284,7 @@ inline void SimCore::ExecuteNext(Simulator* dom) {
   root_->now_ = when;  // the root clock is the global clock
   ++dom->exec_count_;
   ++stats_.events_executed;
-  if (dom->events_fired_ != nullptr) {
-    dom->events_fired_->Add(1);
-    dom->queue_depth_->Set(static_cast<double>(dom->queue_.size()));
-  } else {
-    ++dom->tally_fired_;
-  }
+  ++dom->tallies_.fired;
   action();
 }
 
@@ -646,7 +586,7 @@ void SimCore::RunWindow(WorkerSlot* slot, SimTime window_end) {
       action();
     }
     dom->exec_count_ = exec;
-    dom->tally_fired_ += fired;
+    dom->tallies_.fired += fired;
     slot->executed += fired;
   }
   tls_ctx_ = nullptr;

@@ -119,9 +119,9 @@ class SimCore {
   // Metrics plumbing (root Simulator forwards here).
   void SetObservability(const Observability& obs);
 
-  // Publishes the deferred per-domain tallies and the engine.* gauges now.
-  // Safe only from serialized context (between runs, or a control-domain
-  // event) — the telemetry sampler's pre-scrape flush point.
+  // Sets sim.queue_depth and the engine.* gauges now.  Safe only from
+  // serialized context (between runs, or a control-domain event) — the
+  // telemetry sampler's pre-scrape flush point.
   void FlushMetrics() { PublishMetrics(); }
 
  private:
@@ -197,7 +197,10 @@ class SimCore {
   // UINT32_MAX if all queues are empty.  Key: (when, domain-id).
   uint32_t NextDomain() const;
 
-  // Flushes per-domain schedule/fire/cancel tallies into attached counters.
+  // Binds `dom`'s event tallies to the attached registry's sim.events_*
+  // counters (releases them when detached).
+  void BindTallies(Simulator* dom);
+  // Sets the attached gauges from the current engine and queue state.
   void PublishMetrics();
 
   Simulator* root_;  // == domains_[0]
@@ -224,14 +227,7 @@ class SimCore {
 
   EngineStats stats_;
 
-  // Metrics (multi-domain mode: tally per domain, publish at flush points).
-  Counter* events_scheduled_ = nullptr;
-  Counter* events_fired_ = nullptr;
-  Counter* events_cancelled_ = nullptr;
-  Gauge* queue_depth_ = nullptr;
-  uint64_t pub_scheduled_ = 0;  // already-published tally baselines
-  uint64_t pub_fired_ = 0;
-  uint64_t pub_cancelled_ = 0;
+  Gauge* queue_depth_ = nullptr;  // sim.queue_depth, all domains.
 
   // Engine introspection gauges (engine.*): absolute values of the
   // deterministic EngineStats fields plus per-domain execution/queue-depth

@@ -67,31 +67,34 @@ class Simulator {
 
   SimTime Now() const { return now_; }
 
-  // Resolves the event-loop instruments (counts + queue-depth gauge).  The
-  // default null Observability detaches them; instrumentation then costs a
-  // null check per event.  Root only; on a multi-domain core the counts are
-  // tallied per domain and merged deterministically at flush points (run
-  // boundaries and control batches).
+  // Binds every domain's event tallies to the sim.events_* counters and
+  // resolves the queue-depth and engine.* gauges.  The default null
+  // Observability detaches them.  Root only.  The counters read the tallies
+  // live; the gauges are set at flush points (run boundaries, control
+  // batches, FlushObsMetrics).
   void SetObservability(const Observability& obs);
 
-  // Publishes the deferred per-domain event tallies and engine.* gauges to
-  // the attached registry immediately.  Root only, serialized context only
-  // (between runs or from a control-domain event) — the telemetry sampler
-  // calls this before each scrape so the registry is current mid-run.
+  // Sets sim.queue_depth and the engine.* gauges now.  Root only,
+  // serialized context only (between runs or from a control-domain event) —
+  // the telemetry sampler calls this before each scrape so the gauges are
+  // current mid-run.
   void FlushObsMetrics();
+
+  // Events scheduled, fired and cancelled on this domain since it was
+  // created (the sim.events_* counters read these).
+  struct EventTallies {
+    uint64_t scheduled = 0;
+    uint64_t fired = 0;
+    uint64_t cancelled = 0;
+  };
+  const EventTallies& event_tallies() const { return tallies_; }
 
   // Schedules `action` to run at absolute time `when` (>= Now()) on this
   // domain.  Same-instant events on one domain fire in scheduling order.
   EventId ScheduleAt(SimTime when, Action action) {
     assert(when >= now_ && "cannot schedule into the past");
-    const EventId id = queue_.Insert(when, ++next_seq_, std::move(action));
-    if (events_scheduled_ != nullptr) {
-      events_scheduled_->Add(1);
-      queue_depth_->Set(static_cast<double>(queue_.size()));
-    } else {
-      ++tally_scheduled_;
-    }
-    return id;
+    ++tallies_.scheduled;
+    return queue_.Insert(when, ++next_seq_, std::move(action));
   }
 
   // Schedules `action` to run `delay` from now on this domain.
@@ -113,12 +116,7 @@ class Simulator {
     if (!queue_.Cancel(id)) {
       return false;
     }
-    if (events_cancelled_ != nullptr) {
-      events_cancelled_->Add(1);
-      queue_depth_->Set(static_cast<double>(queue_.size()));
-    } else {
-      ++tally_cancelled_;
-    }
+    ++tallies_.cancelled;
     return true;
   }
 
@@ -159,20 +157,8 @@ class Simulator {
   uint64_t next_seq_ = 0;     // band-0 FIFO order for this domain
   uint64_t exec_count_ = 0;   // events executed; the handoff sender rank
   EventHeap queue_;
-
-  // Event tallies when counters are detached or deferred (multi-domain
-  // cores); merged into the shared counters at deterministic flush points.
-  uint64_t tally_scheduled_ = 0;
-  uint64_t tally_fired_ = 0;
-  uint64_t tally_cancelled_ = 0;
-
-  // Inline observability handles — non-null only on the root of a
-  // single-domain core (the original engine's exact per-event behaviour).
-  // All four are resolved together, so checking one suffices on each path.
-  Counter* events_scheduled_ = nullptr;
-  Counter* events_fired_ = nullptr;
-  Counter* events_cancelled_ = nullptr;
-  Gauge* queue_depth_ = nullptr;
+  EventTallies tallies_;
+  std::vector<CounterBinding> tally_counters_;  // Bound by SimCore; after tallies_.
 };
 
 // Re-arms itself every `period` until stopped.  Used for watchdog "are you

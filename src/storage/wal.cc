@@ -111,12 +111,14 @@ Wal::~Wal() {
 
 void Wal::SetObservability(const Observability& obs) {
   tracer_ = obs.tracer;
+  counters_.clear();
   if (obs.metrics != nullptr) {
-    obs_appends_ = obs.metrics->GetCounter("storage.appends");
-    obs_bytes_appended_ = obs.metrics->GetCounter("storage.bytes_appended");
-    obs_syncs_ = obs.metrics->GetCounter("storage.syncs");
-    obs_segments_created_ = obs.metrics->GetCounter("storage.segments_created");
-    obs_compactions_ = obs.metrics->GetCounter("storage.compactions");
+    obs.metrics->BindCounters(&counters_, {},
+                              {{"storage.appends", &stats_.records_appended},
+                               {"storage.bytes_appended", &stats_.bytes_appended},
+                               {"storage.syncs", &stats_.syncs},
+                               {"storage.segments_created", &stats_.segments_created},
+                               {"storage.compactions", &stats_.compactions}});
     obs_batch_ = obs.metrics->GetHistogram("storage.group_commit_batch");
     obs_wal_bytes_ = obs.metrics->GetGauge("storage.wal_bytes");
     obs_wal_bytes_->Set(static_cast<double>(TotalBytes()));
@@ -136,11 +138,6 @@ void Wal::SetObservability(const Observability& obs) {
       UpdateStripeGauges();
     }
   } else {
-    obs_appends_ = nullptr;
-    obs_bytes_appended_ = nullptr;
-    obs_syncs_ = nullptr;
-    obs_segments_created_ = nullptr;
-    obs_compactions_ = nullptr;
     obs_batch_ = nullptr;
     obs_wal_bytes_ = nullptr;
     obs_commit_queue_ = nullptr;
@@ -341,9 +338,6 @@ Status Wal::RollSegment(Stripe& stripe) {
   ++stripe.next_seq;
   ++stripe.stats.segments_created;
   ++stats_.segments_created;
-  if (obs_segments_created_ != nullptr) {
-    obs_segments_created_->Add(1);
-  }
   return Status::Ok();
 }
 
@@ -388,9 +382,7 @@ Status Wal::Append(std::span<const uint8_t> record, uint64_t now) {
   stripe.stats.bytes_appended += record.size();
   ++stats_.records_appended;
   stats_.bytes_appended += record.size();
-  if (obs_appends_ != nullptr) {
-    obs_appends_->Add(1);
-    obs_bytes_appended_->Add(record.size());
+  if (obs_wal_bytes_ != nullptr) {
     obs_wal_bytes_->Set(static_cast<double>(TotalBytes()));
   }
   ++stripe.pending;
@@ -455,11 +447,8 @@ Status Wal::SyncStripe(Stripe& stripe, uint64_t now, bool force) {
   }
   ++stripe.stats.syncs;
   ++stats_.syncs;
-  if (obs_syncs_ != nullptr) {
-    obs_syncs_->Add(1);
-    if (batch > 0) {
-      obs_batch_->Observe(static_cast<double>(batch));
-    }
+  if (obs_batch_ != nullptr && batch > 0) {
+    obs_batch_->Observe(static_cast<double>(batch));
   }
   if (obs_commit_queue_ != nullptr) {
     obs_commit_queue_->Set(static_cast<double>(PendingRecords()));
@@ -657,8 +646,7 @@ void Wal::FinishCompaction(uint64_t now) {
   const size_t after = TotalBytes();
   stats_.compaction_bytes_reclaimed += bytes_before > after ? bytes_before - after : 0;
   baseline_bytes_ = std::max(after, options_.compactor.min_bytes);
-  if (obs_compactions_ != nullptr) {
-    obs_compactions_->Add(1);
+  if (obs_wal_bytes_ != nullptr) {
     obs_wal_bytes_->Set(static_cast<double>(after));
   }
   if (striped_layout_) {
@@ -745,8 +733,7 @@ bool Wal::CompactNowBlocking() {
   const size_t after = TotalBytes();
   stats_.compaction_bytes_reclaimed += before > after ? before - after : 0;
   baseline_bytes_ = std::max(after, options_.compactor.min_bytes);
-  if (obs_compactions_ != nullptr) {
-    obs_compactions_->Add(1);
+  if (obs_wal_bytes_ != nullptr) {
     obs_wal_bytes_->Set(static_cast<double>(after));
   }
   if (tracer_ != nullptr) {

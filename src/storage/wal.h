@@ -228,15 +228,11 @@ class Wal : public StorageBackend {
 
   // Observability handles (null = detached).
   Tracer* tracer_ = nullptr;
-  Counter* obs_appends_ = nullptr;
-  Counter* obs_bytes_appended_ = nullptr;
-  Counter* obs_syncs_ = nullptr;
-  Counter* obs_segments_created_ = nullptr;
-  Counter* obs_compactions_ = nullptr;
   Histogram* obs_batch_ = nullptr;
   Gauge* obs_wal_bytes_ = nullptr;
   Gauge* obs_commit_queue_ = nullptr;
   Gauge* obs_imbalance_ = nullptr;
+  std::vector<CounterBinding> counters_;  // storage.* read stats_.
 };
 
 // Path of segment `seq` inside `dir` ("<dir>/wal-<seq, zero padded>.seg").

@@ -37,21 +37,17 @@ TransportEndpoint::~TransportEndpoint() { medium_->Detach(node_); }
 void TransportEndpoint::SetObservability(const Observability& obs) {
   tracer_ = obs.tracer;
   lifecycle_ = obs.lifecycle;
+  counters_.clear();
   if (obs.metrics != nullptr) {
-    obs_data_sent_ = obs.metrics->GetCounter("transport.data_sent");
-    obs_data_delivered_ = obs.metrics->GetCounter("transport.data_delivered");
-    obs_acks_sent_ = obs.metrics->GetCounter("transport.acks_sent");
-    obs_retransmits_ = obs.metrics->GetCounter("transport.retransmits");
-    obs_dup_hits_ = obs.metrics->GetCounter("transport.dup_cache_hits");
-    obs_corrupt_dropped_ = obs.metrics->GetCounter("transport.corrupt_dropped");
+    obs.metrics->BindCounters(&counters_, {},
+                              {{"transport.data_sent", &stats_.data_sent},
+                               {"transport.data_delivered", &stats_.data_delivered},
+                               {"transport.acks_sent", &stats_.acks_sent},
+                               {"transport.retransmits", &stats_.retransmits},
+                               {"transport.dup_cache_hits", &stats_.duplicates_suppressed},
+                               {"transport.corrupt_dropped", &stats_.corrupt_dropped}});
     obs_ack_latency_ = obs.metrics->GetHistogram("transport.ack_latency_ms");
   } else {
-    obs_data_sent_ = nullptr;
-    obs_data_delivered_ = nullptr;
-    obs_acks_sent_ = nullptr;
-    obs_retransmits_ = nullptr;
-    obs_dup_hits_ = nullptr;
-    obs_corrupt_dropped_ = nullptr;
     obs_ack_latency_ = nullptr;
   }
 }
@@ -71,9 +67,6 @@ void TransportEndpoint::Send(Packet packet) {
     frame.segments = std::move(packet.segments);
     frame.causal = MakeCausal(packet.header, node_, 0);
     ++stats_.data_sent;
-    if (obs_data_sent_ != nullptr) {
-      obs_data_sent_->Add(1);
-    }
     if (lifecycle_ != nullptr) {
       lifecycle_->Observe(frame.causal, LifecycleStage::kSent, node_);
     }
@@ -132,9 +125,6 @@ void TransportEndpoint::TransmitInFlight(size_t index) {
   frame.payload = LinkWrap(SerializePacket(inflight.packet));
   frame.causal = MakeCausal(inflight.packet.header, node_, inflight.attempts++);
   ++stats_.data_sent;
-  if (obs_data_sent_ != nullptr) {
-    obs_data_sent_->Add(1);
-  }
   if (lifecycle_ != nullptr) {
     lifecycle_->Observe(frame.causal, LifecycleStage::kSent, node_);
   }
@@ -151,9 +141,6 @@ void TransportEndpoint::OnRetransmitTimer(MessageId id) {
   for (size_t i = 0; i < in_flight_.size(); ++i) {
     if (in_flight_[i].packet.header.id == id) {
       ++stats_.retransmits;
-      if (obs_retransmits_ != nullptr) {
-        obs_retransmits_->Add(1);
-      }
       if (tracer_ != nullptr) {
         tracer_->Instant("transport.retransmit", "transport", obs_track::kTransport,
                          {{"dst_node",
@@ -215,9 +202,6 @@ void TransportEndpoint::HandleData(const Packet& packet) {
     frame.type = FrameType::kAck;
     frame.payload = LinkWrap(SerializeAck(ack));
     ++stats_.acks_sent;
-    if (obs_acks_sent_ != nullptr) {
-      obs_acks_sent_->Add(1);
-    }
     // The ack stage is observed here — not at the ack frame on the medium —
     // because only this layer still knows the acked packet's flags, which
     // the durability-before-ack monitor needs to exempt control traffic.
@@ -230,17 +214,11 @@ void TransportEndpoint::HandleData(const Packet& packet) {
   if (!packet.header.replay()) {
     if (SeenId(packet.header.id)) {
       ++stats_.duplicates_suppressed;
-      if (obs_dup_hits_ != nullptr) {
-        obs_dup_hits_->Add(1);
-      }
       return;
     }
     RememberId(packet.header.id);
   }
   ++stats_.data_delivered;
-  if (obs_data_delivered_ != nullptr) {
-    obs_data_delivered_->Add(1);
-  }
   if (lifecycle_ != nullptr) {
     lifecycle_->Observe(
         MakeCausal(packet.header, packet.header.src_node, 0),
@@ -270,9 +248,6 @@ void TransportEndpoint::HandleAck(const AckPacket& ack) {
 
 void TransportEndpoint::NoteCorruptDropped() {
   ++stats_.corrupt_dropped;
-  if (obs_corrupt_dropped_ != nullptr) {
-    obs_corrupt_dropped_->Add(1);
-  }
 }
 
 void TransportEndpoint::RememberId(const MessageId& id) {

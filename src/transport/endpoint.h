@@ -90,8 +90,8 @@ class TransportEndpoint : public Station {
 
   const TransportStats& stats() const { return stats_; }
 
-  // Resolves the shared transport instruments (all endpoints aggregate into
-  // the same `transport.*` series) and keeps the tracer for per-packet
+  // Binds stats() to the shared transport counters (all endpoints aggregate
+  // into the same `transport.*` series) and keeps the tracer for per-packet
   // round-trip spans.  Null members detach.
   void SetObservability(const Observability& obs);
 
@@ -130,13 +130,8 @@ class TransportEndpoint : public Station {
   // Observability handles (null = detached).
   Tracer* tracer_ = nullptr;
   LifecycleTracker* lifecycle_ = nullptr;
-  Counter* obs_data_sent_ = nullptr;
-  Counter* obs_data_delivered_ = nullptr;
-  Counter* obs_acks_sent_ = nullptr;
-  Counter* obs_retransmits_ = nullptr;
-  Counter* obs_dup_hits_ = nullptr;
-  Counter* obs_corrupt_dropped_ = nullptr;
   Histogram* obs_ack_latency_ = nullptr;
+  std::vector<CounterBinding> counters_;  // transport.* read stats_.
 };
 
 }  // namespace publishing

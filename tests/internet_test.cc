@@ -243,6 +243,24 @@ struct ObsInternet {
     obs.lifecycle = &lifecycle;
     net.EnableObservability(obs);
   }
+
+  // Each gateway.* counter equals the gateway's merged stats (attached
+  // before any traffic, so nothing predates the counters).
+  void ExpectGatewayCountersMatchStats() {
+    for (size_t i = 0; i < net.gateway_count(); ++i) {
+      SCOPED_TRACE("gateway " + std::to_string(i));
+      const GatewayStats stats = net.gateway(i).stats();
+      const MetricLabels labels = {{"gateway", "gw" + std::to_string(i)}};
+      EXPECT_EQ(registry.GetCounter("gateway.frames_forwarded", labels)->value(),
+                stats.frames_forwarded);
+      EXPECT_EQ(registry.GetCounter("gateway.bytes_forwarded", labels)->value(),
+                stats.bytes_forwarded);
+      EXPECT_EQ(registry.GetCounter("gateway.dropped_queue_full", labels)->value(),
+                stats.dropped_queue_full);
+      EXPECT_EQ(registry.GetCounter("gateway.dropped_down", labels)->value(),
+                stats.dropped_down);
+    }
+  }
 };
 
 // A cross-segment ping-pong: the pinger's sends are published by its home
@@ -278,6 +296,7 @@ TEST(Internet, CrossSegmentPingPongPublishesOnBothHomes) {
   EXPECT_GT(net.gateway(0).stats().frames_forwarded, 0u);
   EXPECT_EQ(net.gateway(1).stats().frames_forwarded, 0u);
   EXPECT_GT(net.gateway(1).stats().ignored_not_owner, 0u);
+  obs.ExpectGatewayCountersMatchStats();
 
   // The lifecycle table records the gateway crossings.
   EXPECT_NE(obs.lifecycle.TableToJson().find("\"forwards\":[{\"from\":0,\"to\":1}]"),
@@ -350,6 +369,7 @@ TEST(Internet, QueueOverflowBackPressureIsRecoveredByRetransmission) {
   }
   EXPECT_GT(net.gateway(0).stats().dropped_queue_full, 0u)
       << "a one-frame queue under 4 concurrent conversations must overflow";
+  obs.ExpectGatewayCountersMatchStats();
 
   obs.oracle.CheckQuiescent();
   EXPECT_EQ(obs.oracle.total_violations(), 0u) << obs.oracle.ReportJson();
@@ -383,6 +403,7 @@ TEST(Internet, GatewayPartitionMidTrafficReroutesAroundTheRing) {
   EXPECT_GT(net.gateway(3).stats().frames_forwarded, 0u);
   EXPECT_GT(net.gateway(2).stats().frames_forwarded, 0u);
   EXPECT_GT(net.gateway(1).stats().frames_forwarded, 0u);
+  obs.ExpectGatewayCountersMatchStats();
 
   obs.oracle.CheckQuiescent();
   EXPECT_EQ(obs.oracle.total_violations(), 0u) << obs.oracle.ReportJson();
@@ -420,6 +441,7 @@ TEST(Internet, DeadGatewayBlackholesUntilTheSupervisorReroutes) {
   const PingerProgram* p = PingerAt(net, Internet::ProcessingNode(0, 0), *pinger);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->received(), 40u);
+  obs.ExpectGatewayCountersMatchStats();
 
   obs.oracle.CheckQuiescent();
   EXPECT_EQ(obs.oracle.total_violations(), 0u) << obs.oracle.ReportJson();

@@ -158,6 +158,18 @@ void ExpectOrderedTranscript(const PingerProgram& p, uint64_t target) {
   }
 }
 
+// Each migrate.* counter equals the manager's stats (the manager binds at
+// Start, before any move).
+void ExpectMigrateCountersMatchStats(MetricsRegistry& registry,
+                                     const MigrationManager& manager) {
+  EXPECT_EQ(registry.GetCounter("migrate.moves_started")->value(),
+            manager.stats().moves_started);
+  EXPECT_EQ(registry.GetCounter("migrate.moves_completed")->value(),
+            manager.stats().moves_completed);
+  EXPECT_EQ(registry.GetCounter("migrate.moves_aborted")->value(),
+            manager.stats().moves_aborted);
+}
+
 // Full observability stack around an Internet (mirrors the internet_test
 // harness) plus a started MigrationManager.
 struct ObsMigrate {
@@ -215,6 +227,7 @@ struct ObsMigrate {
   void ExpectOracleClean() {
     oracle.CheckQuiescent();
     EXPECT_EQ(oracle.total_violations(), 0u) << oracle.ReportJson();
+    ExpectMigrateCountersMatchStats(registry, manager);
   }
 };
 
@@ -380,7 +393,9 @@ TEST(MigrationManager, MigrateBackClearsTheTombstone) {
 TEST(MigrationManager, FreezeNackAbortsTheMove) {
   InternetConfig config = BaseConfig(2);
   config.start_recovery_managers = false;
+  MetricsRegistry registry;
   Internet net(config);
+  net.EnableObservability(Observability{.metrics = &registry});
   RegisterPrograms(net, 5);
   MigrationManager manager(&net);
   manager.Start();
@@ -400,6 +415,7 @@ TEST(MigrationManager, FreezeNackAbortsTheMove) {
   EXPECT_EQ(manager.stats().freeze_nacks, 1u);
   EXPECT_EQ(manager.stats().moves_aborted, 1u);
   EXPECT_EQ(manager.stats().moves_completed, 0u);
+  ExpectMigrateCountersMatchStats(registry, manager);
 }
 
 // A crash after a cross-segment move recovers from the NEW home: the moved

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "src/core/publishing_system.h"
 #include "src/obs/flight_recorder.h"
@@ -15,6 +18,7 @@
 #include "src/obs/observability.h"
 #include "src/obs/oracle.h"
 #include "src/obs/trace.h"
+#include "src/storage/wal.h"
 #include "tests/json_checker.h"
 #include "tests/test_programs.h"
 
@@ -42,6 +46,41 @@ TEST(MetricsRegistry, CounterGaugeHistogramBasics) {
   h->Observe(3.0);
   EXPECT_EQ(h->stats().count(), 2u);
   EXPECT_DOUBLE_EQ(h->stats().mean(), 2.0);
+}
+
+TEST(MetricsRegistry, BoundCountersCountFieldGrowthFromBindAndFreezeOnRelease) {
+  MetricsRegistry registry;
+  uint64_t a = 5;
+  uint64_t b = 0;
+  CounterBinding bind_a = registry.BindCounter("x.total", {}, &a);
+  CounterBinding bind_b = registry.BindCounter("x.total", {}, &b);
+  Counter* total = registry.GetCounter("x.total");
+  EXPECT_EQ(total->value(), 0u) << "counts from bind, not from zero";
+  a += 3;
+  b += 4;
+  EXPECT_EQ(total->value(), 7u);
+  bind_a.Release();
+  a += 100;  // No longer counted.
+  EXPECT_EQ(total->value(), 7u);
+  CounterBinding moved = std::move(bind_b);
+  b += 1;
+  EXPECT_EQ(total->value(), 8u);
+  moved = CounterBinding();  // Move-assignment releases the old binding.
+  b += 1;
+  EXPECT_EQ(total->value(), 8u);
+}
+
+TEST(MetricsRegistry, BindingOutlivingItsRegistryReleasesSafely) {
+  uint64_t field = 0;
+  CounterBinding binding;
+  {
+    MetricsRegistry registry;
+    binding = registry.BindCounter("x.count", {}, &field);
+    ++field;
+    EXPECT_EQ(registry.GetCounter("x.count")->value(), 1u);
+  }
+  ++field;
+  binding.Release();  // The registry is gone: nothing to fold into.
 }
 
 TEST(MetricsRegistry, LookupReturnsStablePointers) {
@@ -190,6 +229,69 @@ TEST(Tracer, ExportFooterReportsDroppedEvents) {
 // System-level: determinism and behaviour equivalence
 // ---------------------------------------------------------------------------
 
+// Per metric key: the sum of the component stats fields the counter counts.
+using FieldSums = std::map<std::string, uint64_t>;
+
+FieldSums PingPongFieldSums(PublishingSystem& system, const LifecycleTracker& tracker,
+                            const InvariantOracle& oracle) {
+  FieldSums sums;
+  const Simulator::EventTallies& events = system.sim().event_tallies();
+  sums["sim.events_scheduled"] = events.scheduled;
+  sums["sim.events_fired"] = events.fired;
+  sums["sim.events_cancelled"] = events.cancelled;
+
+  const MediumStats& net = system.cluster().medium().stats();
+  const MetricLabels medium = {{"medium", "ack_ethernet"}};
+  sums[MetricKey("net.frames_sent", medium)] = net.frames_sent;
+  sums[MetricKey("net.bytes_sent", medium)] = net.bytes_sent;
+  sums[MetricKey("net.frames_delivered", medium)] = net.frames_delivered;
+  sums[MetricKey("net.frames_vetoed", medium)] = net.frames_vetoed;
+  sums[MetricKey("net.frames_corrupted", medium)] = net.frames_corrupted;
+  sums[MetricKey("net.collisions", medium)] = net.collisions;
+
+  std::vector<const TransportStats*> endpoints = {&system.recorder().endpoint().stats()};
+  for (NodeId node : system.cluster().node_ids()) {
+    endpoints.push_back(&system.cluster().kernel(node)->endpoint().stats());
+  }
+  for (const TransportStats* t : endpoints) {
+    sums["transport.data_sent"] += t->data_sent;
+    sums["transport.data_delivered"] += t->data_delivered;
+    sums["transport.acks_sent"] += t->acks_sent;
+    sums["transport.retransmits"] += t->retransmits;
+    sums["transport.dup_cache_hits"] += t->duplicates_suppressed;
+    sums["transport.corrupt_dropped"] += t->corrupt_dropped;
+  }
+
+  const RecorderStats& recorder = system.recorder().stats();
+  sums["recorder.frames_seen"] = recorder.frames_seen;
+  sums["recorder.messages_published"] = recorder.messages_published;
+  sums["recorder.bytes_published"] = recorder.bytes_published;
+  sums["recorder.checkpoints_stored"] = recorder.checkpoints_stored;
+
+  const RecoveryManagerStats& recovery = system.recovery().stats();
+  sums["recovery.started"] = recovery.process_recoveries_started;
+  sums["recovery.completed"] = recovery.process_recoveries_completed;
+  sums["recovery.node_crashes_detected"] = recovery.node_crashes_detected;
+  sums["recovery.replayed_messages"] = recovery.replayed_messages;
+  sums["recovery.replay_bursts_sent"] = recovery.replay_bursts_sent;
+  sums["recovery.replay_burst_retransmits"] = recovery.replay_burst_retransmits;
+  sums["recovery.deferred"] = recovery.recoveries_deferred;
+
+  for (size_t i = 0; i < kLifecycleStageCount; ++i) {
+    const auto stage = static_cast<LifecycleStage>(i);
+    sums[MetricKey("lifecycle.stage", {{"stage", LifecycleStageName(stage)}})] =
+        tracker.observed(stage);
+  }
+  sums["lifecycle.faults"] = tracker.faults();
+  sums["lifecycle.evictions"] = tracker.evicted();
+  for (size_t m = 0; m < kOracleMonitorCount; ++m) {
+    const auto monitor = static_cast<OracleMonitor>(m);
+    sums[MetricKey("oracle.violations", {{"monitor", OracleMonitorName(monitor)}})] =
+        oracle.violations(monitor);
+  }
+  return sums;
+}
+
 struct InstrumentedRun {
   std::string metrics_json;
   std::string trace_json;
@@ -199,13 +301,17 @@ struct InstrumentedRun {
   uint64_t messages_published = 0;
   uint64_t data_delivered = 0;
   SimTime end_time = 0;
+  std::map<std::string, uint64_t> counters;  // Registry counters at the end.
 };
 
 // `instrument` attaches metrics + tracer; `lifecycle` additionally attaches
-// the full causal stack (tracker, oracle, flight recorder).
-InstrumentedRun RunPingPong(bool instrument, bool crash, bool lifecycle = false) {
-  // Sinks before the system: attached components hold raw pointers into
-  // them until destruction, so the sinks must outlive the system.
+// the full causal stack (tracker, oracle, flight recorder).  A non-null
+// `field_sums` receives PingPongFieldSums just before attach and at the end.
+InstrumentedRun RunPingPong(bool instrument, bool crash, bool lifecycle = false,
+                            std::vector<FieldSums>* field_sums = nullptr) {
+  // The system detaches on destruction and its counter bindings tolerate
+  // either teardown order (RegistryDestroyed*System tests), but the tracer,
+  // tracker and oracle are read here after the run, so they come first.
   MetricsRegistry registry;
   InvariantOracle oracle;
   FlightRecorder flight;
@@ -228,6 +334,9 @@ InstrumentedRun RunPingPong(bool instrument, bool crash, bool lifecycle = false)
       oracle.AttachFlightRecorder(&flight);
       oracle.AttachMetrics(&registry);
       obs.lifecycle = &tracker;
+    }
+    if (field_sums != nullptr) {
+      field_sums->push_back(PingPongFieldSums(system, tracker, oracle));
     }
     system.EnableObservability(obs);
   }
@@ -255,6 +364,12 @@ InstrumentedRun RunPingPong(bool instrument, bool crash, bool lifecycle = false)
   run.messages_published = system.recorder().stats().messages_published;
   run.data_delivered = system.recorder().endpoint().stats().data_delivered;
   run.end_time = system.sim().Now();
+  for (const auto& [key, counter] : registry.counters()) {
+    run.counters[key] = counter->value();
+  }
+  if (field_sums != nullptr) {
+    field_sums->push_back(PingPongFieldSums(system, tracker, oracle));
+  }
   return run;
 }
 
@@ -302,13 +417,82 @@ TEST(ObservabilityIntegration, LifecycleExportsSerializeByteIdentically) {
 }
 
 TEST(ObservabilityIntegration, MetricsCoverEveryLayerAndMatchLegacyStats) {
-  InstrumentedRun run = RunPingPong(/*instrument=*/true, /*crash=*/false);
-  EXPECT_NE(run.metrics_json.find("sim.events_fired"), std::string::npos);
-  EXPECT_NE(run.metrics_json.find("net.frames_sent{medium=ack_ethernet}"),
-            std::string::npos);
-  EXPECT_NE(run.metrics_json.find("transport.data_delivered"), std::string::npos);
-  EXPECT_NE(run.metrics_json.find("recorder.messages_published"), std::string::npos);
+  // Every counter counts from attach: it must equal the growth of the stats
+  // fields it mirrors between attach and the end of a crash-and-recovery run.
+  std::vector<FieldSums> sums;
+  InstrumentedRun run =
+      RunPingPong(/*instrument=*/true, /*crash=*/true, /*lifecycle=*/true, &sums);
+  ASSERT_EQ(sums.size(), 2u);
+  for (const auto& [key, end] : sums[1]) {
+    const auto it = run.counters.find(key);
+    ASSERT_NE(it, run.counters.end()) << key;
+    EXPECT_EQ(it->second, end - sums[0].at(key)) << key;
+  }
+  // ...and no counter escapes the check.  buf.* is the process-wide buffer
+  // sink, fed by events rather than by a component's stats.
+  for (const auto& [key, value] : run.counters) {
+    if (!key.starts_with("buf.")) {
+      EXPECT_TRUE(sums[1].contains(key)) << key << " is not checked against a field";
+    }
+  }
+  EXPECT_GT(run.counters.at("recovery.completed"), 0u);
+  EXPECT_GT(run.counters.at("recovery.replayed_messages"), 0u);
+  EXPECT_GT(run.counters.at("recorder.messages_published"), 0u);
+  EXPECT_GT(run.counters.at("sim.events_cancelled"), 0u);
   EXPECT_TRUE(JsonChecker(run.metrics_json).Valid());
+}
+
+// The storage.* counters against WalStats, on both layouts.  The single-chain
+// layout's blocking compaction also reopens an active segment.
+void ExpectWalCountersMatchStats(WalOptions options) {
+  std::filesystem::remove_all(options.dir);
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok());
+  const WalStats at_attach = wal->get()->stats();
+  MetricsRegistry registry;
+  Observability obs;
+  obs.metrics = &registry;
+  wal->get()->SetObservability(obs);
+  wal->get()->SetSnapshotSource([] { return std::vector<Bytes>{Bytes(64, 0x5a)}; });
+  for (uint64_t i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(wal->get()->Append(Bytes(100, static_cast<uint8_t>(i)), i).ok());
+  }
+  ASSERT_TRUE(wal->get()->CompactNow());
+  ASSERT_TRUE(wal->get()->Append(Bytes(100, 0x11), 201).ok());
+  ASSERT_TRUE(wal->get()->Sync().ok());
+
+  const WalStats& end = wal->get()->stats();
+  EXPECT_GT(end.compactions, 0u);
+  EXPECT_EQ(registry.GetCounter("storage.appends")->value(),
+            end.records_appended - at_attach.records_appended);
+  EXPECT_EQ(registry.GetCounter("storage.bytes_appended")->value(),
+            end.bytes_appended - at_attach.bytes_appended);
+  EXPECT_EQ(registry.GetCounter("storage.syncs")->value(), end.syncs - at_attach.syncs);
+  EXPECT_EQ(registry.GetCounter("storage.segments_created")->value(),
+            end.segments_created - at_attach.segments_created);
+  EXPECT_EQ(registry.GetCounter("storage.compactions")->value(),
+            end.compactions - at_attach.compactions);
+  wal->get()->SetObservability(Observability{});
+  wal->reset();
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(ObservabilityIntegration, StorageCountersMatchWalStats) {
+  WalOptions single;
+  single.dir = (std::filesystem::path(testing::TempDir()) / "pub_obs_wal_single").string();
+  single.segment_bytes = 2048;
+  {
+    SCOPED_TRACE("single chain");
+    ExpectWalCountersMatchStats(single);
+  }
+  WalOptions striped = single;
+  striped.dir = (std::filesystem::path(testing::TempDir()) / "pub_obs_wal_striped").string();
+  striped.stripes = 2;
+  striped.concurrent_compaction = true;
+  {
+    SCOPED_TRACE("striped");
+    ExpectWalCountersMatchStats(striped);
+  }
 }
 
 TEST(ObservabilityIntegration, SteadyStatePublishCopiesNoPayloadBytes) {
@@ -394,6 +578,50 @@ TEST(ObservabilityIntegration, TraceCapturesRecoveryTimeline) {
   EXPECT_TRUE(tracer.Contains("transport.rtt"));
   EXPECT_TRUE(tracer.Contains("recorder.publish"));
   EXPECT_EQ(registry.GetCounter("recovery.completed")->value(), 1u);
+}
+
+// Teardown order: counter bindings are released by whichever of the
+// registry and the system goes first.  Both tests leave bindings live with
+// traffic since attach; ASan (the obs CI job) checks the releases.
+void RunTrafficWithLiveBindings(PublishingSystem& system, MetricsRegistry& registry) {
+  Observability obs;
+  obs.metrics = &registry;
+  system.EnableObservability(obs);
+  system.cluster().registry().Register("echo",
+                                       [] { return std::make_unique<EchoProgram>(); });
+  system.cluster().registry().Register("pinger",
+                                       [] { return std::make_unique<PingerProgram>(5); });
+  auto echo = system.cluster().Spawn(NodeId{2}, "echo");
+  system.cluster().Spawn(NodeId{1}, "pinger", {Link{*echo, 1, 0, 0}});
+  system.RunFor(Seconds(1));
+  ASSERT_EQ(registry.GetCounter("recorder.messages_published")->value(),
+            system.recorder().stats().messages_published);
+}
+
+PublishingSystemConfig TwoNodeConfig() {
+  PublishingSystemConfig config;
+  config.cluster.node_count = 2;
+  config.cluster.start_system_processes = false;
+  return config;
+}
+
+TEST(ObservabilityIntegration, RegistryDestroyedBeforeSystem) {
+  auto system = std::make_unique<PublishingSystem>(TwoNodeConfig());
+  auto registry = std::make_unique<MetricsRegistry>();
+  RunTrafficWithLiveBindings(*system, *registry);
+  registry.reset();
+  system.reset();  // Releases bindings into a dead registry: a no-op.
+}
+
+TEST(ObservabilityIntegration, RegistryDestroyedAfterSystem) {
+  auto registry = std::make_unique<MetricsRegistry>();
+  auto system = std::make_unique<PublishingSystem>(TwoNodeConfig());
+  RunTrafficWithLiveBindings(*system, *registry);
+  const uint64_t published = system->recorder().stats().messages_published;
+  EXPECT_GT(published, 0u);
+  system.reset();  // Folds each binding's count into its counter.
+  EXPECT_EQ(registry->GetCounter("recorder.messages_published")->value(), published);
+  EXPECT_TRUE(JsonChecker(registry->ToJson()).Valid());
 }
 
 TEST(ObservabilityIntegration, DetachingResetsToNullObject) {
