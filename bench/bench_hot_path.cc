@@ -25,14 +25,12 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/buffer.h"
 #include "src/core/publishing_system.h"
 #include "src/obs/metrics.h"
-#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 #include "tests/test_programs.h"
 
@@ -314,155 +312,6 @@ void RunRecorderSaturation(BenchJson& json) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engine sweep: the event-churn workload sharded over 8 domains
-// with periodic cross-domain handoffs, run at 1/2/4/8 workers.  Two gates:
-// every worker count must execute exactly the same number of events (the
-// engine's worker-invisibility contract, checked here on raw counters), and
-// with >= 4 hardware threads 4 workers must halve the 1-worker engine wall
-// time.  Wall numbers land under parallel.* in the JSON.
-// ---------------------------------------------------------------------------
-
-struct ParallelChurn {
-  std::vector<Simulator*> domains;
-  std::vector<uint64_t> fired;  // fired[d] is only touched by domain d's events.
-  uint64_t per_domain_limit = 0;
-
-  void Fire(size_t d, HandlerContext ctx) {
-    ++fired[d];
-    Simulator* sim = domains[d];
-    // Same schedule/cancel timer pair as the sequential churn workload.
-    EventId timer = sim->ScheduleAfter(Millis(250), [ctx] {
-      benchmark::DoNotOptimize(ctx.sequence);
-    });
-    sim->Cancel(timer);
-    if (fired[d] >= per_domain_limit) {
-      return;  // This domain is saturated; the chain ends here.
-    }
-    ctx.sequence += 1;
-    if (ctx.sequence % 16 == 0) {
-      // Hand the chain to the ring neighbour.  The delay must be >= the
-      // engine lookahead; using exactly the lookahead makes the handoff land
-      // on the first legal window, the worst case for the barrier.
-      const size_t next = (d + 1) % domains.size();
-      sim->ScheduleOnAfter(domains[next], Millis(64),
-                           [this, next, ctx](){ Fire(next, ctx); });
-    } else {
-      sim->ScheduleAfter(Millis(3) + static_cast<SimDuration>(ctx.src % 7),
-                         [this, d, ctx] { Fire(d, ctx); });
-    }
-  }
-};
-
-struct ParallelRun {
-  uint64_t fired = 0;
-  uint64_t events_executed = 0;
-  uint64_t run_wall_ns = 0;
-  uint64_t windows = 0;
-  uint64_t handoffs = 0;
-  uint64_t handoff_ring_spills = 0;
-};
-
-ParallelRun RunParallelChurn(size_t workers) {
-  constexpr size_t kDomains = 8;
-  constexpr uint64_t kFiringsPerDomain = 40'000;
-  Simulator root;
-  ParallelChurn churn;
-  for (size_t d = 0; d < kDomains; ++d) {
-    churn.domains.push_back(root.AddDomain());
-  }
-  churn.fired.assign(kDomains, 0);
-  churn.per_domain_limit = kFiringsPerDomain;
-  root.SetLookahead(Millis(64));
-  root.SetWorkers(workers);
-  for (size_t d = 0; d < kDomains; ++d) {
-    HandlerContext ctx{d, d ^ 1, 0, 0};
-    churn.domains[d]->ScheduleAfter(static_cast<SimDuration>(d),
-                                    [&churn, d, ctx] { churn.Fire(d, ctx); });
-  }
-  root.Run();
-  ParallelRun run;
-  for (uint64_t f : churn.fired) {
-    run.fired += f;
-  }
-  const auto& engine = root.core().engine_stats();
-  run.events_executed = engine.events_executed;
-  run.run_wall_ns = engine.run_wall_ns;
-  run.windows = engine.windows;
-  run.handoffs = engine.handoffs;
-  run.handoff_ring_spills = engine.handoff_ring_spills;
-  return run;
-}
-
-void RunParallelEngineSweep(BenchJson& json) {
-  PrintHeader("Parallel engine: 8-domain churn at 1/2/4/8 workers");
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  %7s | %10s %9s | %9s %7s %8s | %7s\n", "workers", "events",
-              "wall ms", "events/s", "windows", "handoffs", "speedup");
-
-  uint64_t baseline_events = 0;
-  uint64_t baseline_wall_ns = 0;
-  double speedup4 = 0.0;
-  bool identical = true;
-  for (size_t workers : {1, 2, 4, 8}) {
-    const ParallelRun run = RunParallelChurn(workers);
-    if (workers == 1) {
-      baseline_events = run.events_executed;
-      baseline_wall_ns = run.run_wall_ns;
-    } else if (run.events_executed != baseline_events) {
-      std::fprintf(stderr,
-                   "hot_path: FAIL — %zu workers executed %llu events, 1 "
-                   "worker executed %llu\n",
-                   workers, static_cast<unsigned long long>(run.events_executed),
-                   static_cast<unsigned long long>(baseline_events));
-      identical = false;
-    }
-    const double wall_ms = static_cast<double>(run.run_wall_ns) / 1e6;
-    const double events_per_sec =
-        run.run_wall_ns > 0 ? static_cast<double>(run.events_executed) * 1e9 /
-                                  static_cast<double>(run.run_wall_ns)
-                            : 0.0;
-    const double speedup =
-        run.run_wall_ns > 0 ? static_cast<double>(baseline_wall_ns) /
-                                  static_cast<double>(run.run_wall_ns)
-                            : 0.0;
-    if (workers == 4) {
-      speedup4 = speedup;
-    }
-    std::printf("  %7zu | %10llu %9.1f | %9.0f %7llu %8llu | %6.2fx\n", workers,
-                static_cast<unsigned long long>(run.events_executed), wall_ms,
-                events_per_sec, static_cast<unsigned long long>(run.windows),
-                static_cast<unsigned long long>(run.handoffs), speedup);
-    const std::string prefix = "parallel.w" + std::to_string(workers) + ".";
-    json.Set(prefix + "events_executed", static_cast<double>(run.events_executed));
-    json.Set(prefix + "run_wall_ms", wall_ms);
-    json.Set(prefix + "events_per_sec", events_per_sec);
-    json.Set(prefix + "windows", static_cast<double>(run.windows));
-    json.Set(prefix + "handoffs", static_cast<double>(run.handoffs));
-    json.Set(prefix + "handoff_ring_spills",
-             static_cast<double>(run.handoff_ring_spills));
-    json.Set(prefix + "speedup_vs_w1", speedup);
-  }
-  json.Set("parallel.hardware_concurrency", static_cast<double>(hw));
-  if (!identical) {
-    std::exit(1);
-  }
-  std::printf("  event-count check     : PASS (all worker counts identical)\n");
-  if (hw >= 4) {
-    if (speedup4 < 2.0) {
-      std::fprintf(stderr,
-                   "hot_path: FAIL — 4 workers reached only %.2fx over 1 "
-                   "worker (gate: >= 2.0x on %u hardware threads)\n",
-                   speedup4, hw);
-      std::exit(1);
-    }
-    std::printf("  speedup gate          : PASS (%.2fx >= 2.0x at 4 workers)\n",
-                speedup4);
-  } else {
-    std::printf("  speedup gate          : skipped (%u hardware thread(s))\n", hw);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism self-check: two identical instrumented runs (including a crash
 // and recovery) must serialize byte-identical metrics.
 // ---------------------------------------------------------------------------
@@ -546,7 +395,6 @@ int main(int argc, char** argv) {
   publishing::RunEventThroughput(json);
   publishing::RunFramePathBench(json);
   publishing::RunRecorderSaturation(json);
-  publishing::RunParallelEngineSweep(json);
   publishing::RunDeterminismCheck(json);
   json.Write();
   benchmark::Initialize(&argc, argv);

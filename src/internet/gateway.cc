@@ -101,7 +101,7 @@ Gateway::Egress* Gateway::FindEgress(size_t segment) {
 
 void Gateway::OnIngress(size_t segment, const Frame& frame) {
   // The port we heard the frame on; every counter this function touches
-  // lives there, so parallel segment domains never write the same struct.
+  // lives there.
   Egress* ingress = FindEgress(segment);
   const int32_t dst_segment =
       frame.dst == kBroadcastNode ? -1 : map_->SegmentOf(frame.dst);
@@ -187,8 +187,7 @@ void Gateway::DrainOne(size_t egress_index) {
                                  static_cast<int32_t>(egress.segment));
   }
   // The actual egress transmission crosses into the egress segment's domain
-  // after handoff_latency — the gateway's only cross-domain effect, and what
-  // the engine's conservative lookahead is derived from.
+  // after handoff_latency — the gateway's only cross-domain effect.
   egress.drain_sim->ScheduleOnAfter(
       egress.medium->sim(), options_.handoff_latency,
       [medium = egress.medium, f = std::move(frame)]() mutable {

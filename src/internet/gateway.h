@@ -18,17 +18,14 @@
 // publishes it there, which is what keeps the responsibility invariant true
 // across segments.
 //
-// Parallel-engine partitioning (DESIGN.md §15): with per-segment simulation
-// domains, a gateway is the only object shared between two domains, so its
-// state is split by writer.  Everything reached from an ingress event on
-// segment A — the ingress-side counters of port A, plus the queue, pacing
-// timer, and forward counters of the egress port A feeds — is owned by
-// domain A; the final `Medium::Send` onto the egress segment crosses domains
-// through `Simulator::ScheduleOnAfter` with `handoff_latency` (>= the engine
-// lookahead, it is the engine lookahead for an internetwork).  `stats()`
-// merges the per-port structs on read.  This writer split is exact for the
-// two-port gateways `Internet` builds; attach wider gateways only under
-// `workers=1`.
+// Domains (DESIGN.md §15): each segment runs on its own simulation domain,
+// and a gateway is the only object shared between two of them.  Everything
+// reached from an ingress event on segment A — the ingress-side counters of
+// port A, plus the queue, pacing timer, and forward counters of the egress
+// port A feeds — is scheduled on domain A; the final `Medium::Send` onto the
+// egress segment crosses domains through `Simulator::ScheduleOnAfter` with
+// `handoff_latency`.  The counters are kept per port and `stats()` merges
+// them on read.
 
 #ifndef SRC_INTERNET_GATEWAY_H_
 #define SRC_INTERNET_GATEWAY_H_
@@ -52,10 +49,7 @@ struct GatewayOptions {
   // the pacing interval between successive forwards on one egress.
   SimDuration forward_latency = MillisF(0.2);
   // Latency of the cross-domain hop that puts the frame onto the egress
-  // segment (the wire-transfer half of store-and-forward).  This is the
-  // conservative lookahead of the parallel engine: no gateway may affect
-  // another segment sooner than this, so safe windows can span it.  Raising
-  // it widens windows (fewer barriers); it must stay >= the engine lookahead.
+  // segment (the wire-transfer half of store-and-forward).
   SimDuration handoff_latency = MillisF(0.2);
 };
 
@@ -93,17 +87,14 @@ class Gateway {
   NodeId node() const { return node_; }
   size_t index() const { return index_; }
 
-  // Merged view of the per-port counters (the ports tally independently so
-  // segment domains never share a written cache line).
+  // Merged view of the per-port counters.
   GatewayStats stats() const;
 
   // Binds the per-port stats to the `gateway.*{gateway=label}` counters,
   // resolves one `gateway.queue_depth{gateway,egress}` gauge per attached
   // egress (updated on every enqueue/drain/flush), and keeps the lifecycle
   // tracker for kForwarded observations.  Attach every segment before
-  // enabling observability so each egress is bound.  Metrics sinks are
-  // single-threaded; attaching one forces the engine sequential (the
-  // Internet observability policy).
+  // enabling observability so each egress is bound.
   void SetObservability(const Observability& obs, std::string_view label);
 
  private:
@@ -122,12 +113,13 @@ class Gateway {
     std::unique_ptr<Port> port;
 
     // Ingress side of this port: counters for frames that arrived *on* this
-    // segment.  Written only by events on this segment's domain.
+    // segment, written by events on this segment's domain.
     GatewayStats ingress_stats;
 
-    // Store-and-forward state *toward* this segment.  Written only by the
-    // domain of the port that feeds this egress (the gateway's other port);
-    // `drain_sim` is that feeding domain's simulator, latched at enqueue.
+    // Store-and-forward state *toward* this segment, written by events on
+    // the domain of the port that feeds this egress (the gateway's other
+    // port); `drain_sim` is that feeding domain's simulator, latched at
+    // enqueue.
     // Queued frames carry their ingress segment (for the forwarded stage).
     std::deque<std::pair<Frame, size_t>> queue;
     size_t queued_bytes = 0;

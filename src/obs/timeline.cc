@@ -74,9 +74,8 @@ TimeSeries& TelemetrySampler::Slot(const std::string& key, TimeSeriesKind kind) 
 
 void TelemetrySampler::SampleNow() {
   // Bring sim.queue_depth and the engine.* gauges up to date before
-  // reading.  The tick runs on the control domain, so in the parallel engine
-  // every worker is quiesced at this point — a window barrier — and the
-  // bound sim.events_* counters read settled per-domain tallies.
+  // reading; the bound sim.events_* counters read the per-domain tallies
+  // live.
   sim_->FlushObsMetrics();
   const SimTime now = sim_->Now();
   for (const auto& [key, counter] : metrics_->counters()) {

@@ -8,13 +8,12 @@
 // configurable virtual-time interval into bounded per-series ring buffers.
 //
 // Determinism contract: the sampler is a pure reader.  Its tick runs on the
-// root (control) domain — in the parallel engine that means a serialized
-// control batch with every worker quiesced — and begins by flushing the
-// core's gauges (Simulator::FlushObsMetrics), so sim.queue_depth and the
-// engine.* gauges are current at a window barrier before the scrape; the
-// bound counters read their fields live.  Virtual time is worker-invariant, the registry iterates in sorted
-// key order, and numbers format through FormatMetricValue, so the exported
-// timeline is byte-identical for a fixed seed at any worker count.  Series
+// root (control) domain and begins by flushing the core's gauges
+// (Simulator::FlushObsMetrics), so sim.queue_depth and the engine.* gauges
+// are current before the scrape; the bound counters read their fields live.
+// The registry iterates in sorted key order and numbers format through
+// FormatMetricValue, so the exported timeline is byte-identical for a fixed
+// seed.  Series
 // whose values are wall-clock (never byte-diffable) are declared volatile by
 // prefix and excluded from the deterministic export.
 //

@@ -1,6 +1,6 @@
 // Slab-pooled intrusive binary heap of pending events — the per-domain engine
 // seam extracted from the original single-`Simulator` event loop so the
-// multi-worker virtual-time core (src/sim/parallel.h) can give every domain a
+// multi-domain virtual-time core (src/sim/parallel.h) can give every domain a
 // private queue while reusing one battle-tested implementation.
 //
 // Layout: pending events live in a slab of pooled nodes (callback stored
@@ -17,8 +17,7 @@
 // original same-instant FIFO guarantee.  Cross-domain handoffs carry
 // kHandoffSeqBit | global-handoff-sequence, which sorts every handoff after
 // every local event at the same instant (the bit dominates) while keeping
-// handoffs in their deterministic global hand-off order — see
-// src/sim/parallel.h for why that order is identical on 1 and N workers.
+// handoffs in the order the core scheduled them (src/sim/parallel.h).
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_

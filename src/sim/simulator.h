@@ -9,12 +9,10 @@
 //
 // A Simulator is a *domain view* of a SimCore (src/sim/parallel.h).  A
 // default-constructed Simulator is the root (control) domain of its own core
-// and behaves exactly like the original single-threaded engine; AddDomain()
-// creates additional domains with private event heaps that the core may
-// execute on worker threads under conservative lookahead, bit-identical to
-// sequential execution.  The slab-pooled heap itself lives in
-// src/sim/event_queue.h; scheduling and cancellation stay on this domain's
-// private queue and never contend with other domains.
+// and behaves exactly like the original single-queue engine; AddDomain()
+// creates additional domains with private event heaps that the core merges
+// into one deterministic order on one virtual clock.  The slab-pooled heap
+// itself lives in src/sim/event_queue.h.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -54,29 +52,22 @@ class Simulator {
   // drive all domains in one deterministic virtual time.
   Simulator* AddDomain();
 
-  // Worker threads for Run/RunUntil (1 = sequential engine; the default).
-  void SetWorkers(size_t workers);
-  size_t workers() const;
-
-  // Conservative lookahead: minimum latency of any cross-domain handoff.
-  void SetLookahead(SimDuration lookahead);
-
   uint32_t domain() const { return domain_; }
   bool is_root() const { return domain_ == 0; }
   SimCore& core() { return *core_; }
 
-  SimTime Now() const { return now_; }
+  // The core's single virtual clock: the same value on every domain view.
+  SimTime Now() const { return *clock_; }
 
   // Binds every domain's event tallies to the sim.events_* counters and
   // resolves the queue-depth and engine.* gauges.  The default null
   // Observability detaches them.  Root only.  The counters read the tallies
-  // live; the gauges are set at flush points (run boundaries, control
-  // batches, FlushObsMetrics).
+  // live; the gauges are set at flush points (run boundaries, Step,
+  // FlushObsMetrics).
   void SetObservability(const Observability& obs);
 
-  // Sets sim.queue_depth and the engine.* gauges now.  Root only,
-  // serialized context only (between runs or from a control-domain event) —
-  // the telemetry sampler calls this before each scrape so the gauges are
+  // Sets sim.queue_depth and the engine.* gauges now.  Root only — the
+  // telemetry sampler calls this before each scrape so the gauges are
   // current mid-run.
   void FlushObsMetrics();
 
@@ -92,21 +83,19 @@ class Simulator {
   // Schedules `action` to run at absolute time `when` (>= Now()) on this
   // domain.  Same-instant events on one domain fire in scheduling order.
   EventId ScheduleAt(SimTime when, Action action) {
-    assert(when >= now_ && "cannot schedule into the past");
+    assert(when >= Now() && "cannot schedule into the past");
     ++tallies_.scheduled;
     return queue_.Insert(when, ++next_seq_, std::move(action));
   }
 
   // Schedules `action` to run `delay` from now on this domain.
   EventId ScheduleAfter(SimDuration delay, Action action) {
-    return ScheduleAt(now_ + delay, std::move(action));
+    return ScheduleAt(Now() + delay, std::move(action));
   }
 
   // Schedules `action` onto another domain of the same core, `delay` from
-  // this domain's now.  `delay` must be >= the core's lookahead; the arrival
-  // order is deterministic and independent of worker count (handoffs at one
-  // instant fire after that instant's local events, in sender-execution-rank
-  // order).  This is the only legal way to affect another domain's state.
+  // now.  Handoffs at one instant fire after that instant's local events on
+  // the target, in the order they were scheduled.
   void ScheduleOnAfter(Simulator* target, SimDuration delay, Action action);
 
   // Cancels a pending event scheduled on this domain.  Returns false if the
@@ -129,11 +118,11 @@ class Simulator {
   // Runs events until every domain's queue drains.
   void Run();
 
-  // Runs events with firing time <= `deadline`, then advances every domain
-  // clock to `deadline` (even if the queues drained earlier).
+  // Runs events with firing time <= `deadline`, then advances the clock to
+  // `deadline` (even if the queues drained earlier).
   void RunUntil(SimTime deadline);
 
-  void RunFor(SimDuration span) { RunUntil(now_ + span); }
+  void RunFor(SimDuration span) { RunUntil(Now() + span); }
 
   // Pending events on this domain's private queue.
   size_t pending_events() const { return queue_.size(); }
@@ -151,11 +140,10 @@ class Simulator {
 
   SimCore* core_ = nullptr;                  // the shared engine
   std::unique_ptr<SimCore> core_storage_;    // root owns the core
+  const SimTime* clock_ = nullptr;           // the core's clock
   uint32_t domain_ = 0;
 
-  SimTime now_ = 0;
   uint64_t next_seq_ = 0;     // band-0 FIFO order for this domain
-  uint64_t exec_count_ = 0;   // events executed; the handoff sender rank
   EventHeap queue_;
   EventTallies tallies_;
   std::vector<CounterBinding> tally_counters_;  // Bound by SimCore; after tallies_.

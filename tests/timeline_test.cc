@@ -1,7 +1,7 @@
 // Tests for the telemetry timeline and SLO health watchdog (DESIGN.md §16):
 // ring-buffer bounds (TimeSeries and the Tracer's event ring), sampler
 // scraping/export semantics, the two determinism contracts — the exported
-// timeline is byte-identical at any worker count, and attaching the sampler
+// timeline is byte-identical across same-seed runs, and attaching the sampler
 // does not perturb a single virtual-time observable — and the per-kind SLO
 // rule arithmetic with its alert-once-per-episode discipline.
 
@@ -209,12 +209,11 @@ struct SmallRunResult {
   uint64_t received = 0;
 };
 
-SmallRunResult RunSmallInternet(size_t workers, bool with_sampler) {
+SmallRunResult RunSmallInternet(bool with_sampler) {
   InternetConfig config;
   config.segments = 2;
   config.nodes_per_segment = 2;
   config.seed = 5;
-  config.workers = workers;
 
   InvariantOracle oracle(OracleOptions{.policy = OraclePolicy::kCount});
   MetricsRegistry registry;
@@ -259,18 +258,18 @@ SmallRunResult RunSmallInternet(size_t workers, bool with_sampler) {
   return result;
 }
 
-TEST(TelemetrySampler, TimelineJsonByteIdenticalAcrossWorkerCounts) {
-  const SmallRunResult w1 = RunSmallInternet(1, /*with_sampler=*/true);
-  const SmallRunResult w4 = RunSmallInternet(4, /*with_sampler=*/true);
-  EXPECT_FALSE(w1.timeline_json.empty());
-  EXPECT_EQ(w1.timeline_json, w4.timeline_json);
-  EXPECT_EQ(w1.oracle_report, w4.oracle_report);
-  EXPECT_TRUE(JsonChecker(w1.timeline_json).Valid()) << w1.timeline_json;
+TEST(TelemetrySampler, TimelineJsonByteIdenticalAcrossRuns) {
+  const SmallRunResult first = RunSmallInternet(/*with_sampler=*/true);
+  const SmallRunResult second = RunSmallInternet(/*with_sampler=*/true);
+  EXPECT_FALSE(first.timeline_json.empty());
+  EXPECT_EQ(first.timeline_json, second.timeline_json);
+  EXPECT_EQ(first.oracle_report, second.oracle_report);
+  EXPECT_TRUE(JsonChecker(first.timeline_json).Valid()) << first.timeline_json;
 }
 
 TEST(TelemetrySampler, AttachingTheSamplerDoesNotPerturbVirtualTime) {
-  const SmallRunResult bare = RunSmallInternet(1, /*with_sampler=*/false);
-  const SmallRunResult sampled = RunSmallInternet(1, /*with_sampler=*/true);
+  const SmallRunResult bare = RunSmallInternet(/*with_sampler=*/false);
+  const SmallRunResult sampled = RunSmallInternet(/*with_sampler=*/true);
   EXPECT_EQ(bare.oracle_report, sampled.oracle_report);
   EXPECT_EQ(bare.received, sampled.received);
   EXPECT_GT(bare.received, 0u);
