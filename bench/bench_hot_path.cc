@@ -12,14 +12,19 @@
 //   - bytes physically copied and logically shared per published message on
 //     a fault-free run (the zero-copy acceptance criterion: copied == 0);
 //   - recorder publish-path saturation: how many overheard messages per
-//     wall-clock second the record-and-append path absorbs.
+//     wall-clock second the record-and-append path absorbs, with one
+//     destination process and with 4,096 (the population sweep: the
+//     per-message cost must not grow with the processes the recorder knows).
 //
 // The binary exits non-zero if the determinism self-check fails (two
-// identical instrumented runs must serialize byte-identical metrics), so CI
-// can gate on it.
+// identical instrumented runs must serialize byte-identical metrics), if the
+// fault-free publish path copies payload bytes, or if the saturation rate at
+// 4,096 processes falls below a quarter of the rate at one, so CI can gate
+// on it.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -278,24 +283,32 @@ void RunFramePathBench(BenchJson& json) {
 // absorbs, measured by driving RecordParsedPacket directly.
 // ---------------------------------------------------------------------------
 
-void RunRecorderSaturation(BenchJson& json) {
-  PrintHeader("Recorder publish-path saturation (direct overhear feed)");
+constexpr uint64_t kSaturationMessages = 200'000;
+
+// Messages per wall-clock second with kSaturationMessages round-robined over
+// `population` destination processes the recorder knows from their creation.
+double RecorderSaturationRate(uint32_t population) {
   PublishingSystemConfig config;
   config.cluster.node_count = 2;
   config.cluster.start_system_processes = false;
   PublishingSystem system(config);
 
+  std::vector<ProcessId> destinations;
+  for (uint32_t i = 0; i < population; ++i) {
+    destinations.push_back(ProcessId{NodeId{2}, 9 + i});
+    system.recorder().storage().RecordCreation(destinations.back(), "echo", {}, NodeId{2});
+  }
+
   Packet packet;
   packet.header.src_process = ProcessId{NodeId{1}, 7};
-  packet.header.dst_process = ProcessId{NodeId{2}, 9};
   packet.header.src_node = NodeId{1};
   packet.header.dst_node = NodeId{2};
   packet.header.flags = kFlagGuaranteed;
   packet.body = Bytes(128, 0xAB);
 
-  constexpr uint64_t kMessages = 200'000;
   const auto start = std::chrono::steady_clock::now();
-  for (uint64_t seq = 1; seq <= kMessages; ++seq) {
+  for (uint64_t seq = 1; seq <= kSaturationMessages; ++seq) {
+    packet.header.dst_process = destinations[seq % population];
     packet.header.id = MessageId{packet.header.src_process, seq};
     Buffer wire{SerializePacket(packet)};
     if (!system.recorder().RecordParsedPacket(packet, wire)) {
@@ -304,11 +317,45 @@ void RunRecorderSaturation(BenchJson& json) {
       std::exit(1);
     }
   }
-  const double elapsed = SecondsSince(start);
-  const double rate = static_cast<double>(kMessages) / elapsed;
-  std::printf("  %llu messages recorded in %.2f s  ->  %.0f msgs/sec saturation\n",
-              static_cast<unsigned long long>(kMessages), elapsed, rate);
+  return static_cast<double>(kSaturationMessages) / SecondsSince(start);
+}
+
+void RunRecorderSaturation(BenchJson& json) {
+  PrintHeader("Recorder publish-path saturation (direct overhear feed)");
+  // Population sweep: a publish path that walked every known process would
+  // slow down about population-fold at p4096.  Reps alternate so host drift
+  // hits both sizes alike; each size reports its median of 3.
+  constexpr uint32_t kLargePopulation = 4096;
+  constexpr double kMinPopulationRatio = 0.25;
+  std::vector<double> small_rates;
+  std::vector<double> large_rates;
+  for (int rep = 0; rep < 3; ++rep) {
+    small_rates.push_back(RecorderSaturationRate(1));
+    large_rates.push_back(RecorderSaturationRate(kLargePopulation));
+  }
+  std::sort(small_rates.begin(), small_rates.end());
+  std::sort(large_rates.begin(), large_rates.end());
+  const double rate = small_rates[1];
+  const double rate_large = large_rates[1];
+  const double ratio = rate_large / rate;
+  std::printf("  %llu messages, 1 destination     : %12.0f msgs/sec saturation\n",
+              static_cast<unsigned long long>(kSaturationMessages), rate);
+  std::printf("  %llu messages, %u destinations : %12.0f msgs/sec saturation\n",
+              static_cast<unsigned long long>(kSaturationMessages), kLargePopulation,
+              rate_large);
+  std::printf("  population ratio (p%u / p1)      : %12.2f (gate >= %.2f)\n",
+              kLargePopulation, ratio, kMinPopulationRatio);
   json.Set("recorder_saturation_msgs_per_sec", rate);
+  json.Set("recorder_saturation_msgs_per_sec_p4096", rate_large);
+  json.Set("recorder_population_ratio", ratio);
+  if (ratio < kMinPopulationRatio) {
+    std::fprintf(stderr,
+                 "hot_path: FAIL — recorder publish rate at %u processes is %.2fx the "
+                 "rate at 1 (expected >= %.2f): the publish path grows with the "
+                 "population\n",
+                 kLargePopulation, ratio, kMinPopulationRatio);
+    std::exit(1);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ StableStorage::StableStorage(StableStorage&& other) noexcept
       restart_number_(other.restart_number_),
       messages_stored_(other.messages_stored_),
       straggler_appends_(other.straggler_appends_),
+      total_bytes_(other.total_bytes_),
       peak_bytes_(other.peak_bytes_),
       backend_(other.backend_),
       clock_(std::move(other.clock_)),
@@ -37,6 +38,7 @@ StableStorage& StableStorage::operator=(StableStorage&& other) noexcept {
     restart_number_ = other.restart_number_;
     messages_stored_ = other.messages_stored_;
     straggler_appends_ = other.straggler_appends_;
+    total_bytes_ = other.total_bytes_;
     peak_bytes_ = other.peak_bytes_;
     backend_ = other.backend_;
     clock_ = std::move(other.clock_);
@@ -89,6 +91,7 @@ void StableStorage::RecordDestruction(const ProcessId& pid) {
   Journal(StorageJournal::EncodeDestroy(pid));
   // Keep a tombstone so restart queries do not resurrect it, but free the
   // replay data.
+  total_bytes_ -= RetainedBytes(it->second);
   it->second.info.destroyed = true;
   it->second.entries.clear();
   it->second.by_id.clear();
@@ -143,6 +146,7 @@ void StableStorage::AppendMessage(const ProcessId& pid, const MessageId& id, Buf
   entry.arrival = next_arrival_++;
   entry.packet = std::move(packet);
   log.info.log_bytes += entry.packet.size();
+  total_bytes_ += entry.packet.size();
   log.by_id.emplace(entry.id, log.entries.size());
   log.entries.push_back(std::move(entry));
   log.info.log_entries = log.entries.size();
@@ -193,6 +197,7 @@ void StableStorage::StoreCheckpoint(const ProcessId& pid, Bytes state, uint64_t 
     return;
   }
   Journal(StorageJournal::EncodeStoreCheckpoint(pid, state, reads_done));
+  total_bytes_ -= RetainedBytes(log);
   log.checkpoint = std::move(state);
   log.info.has_checkpoint = true;
   log.info.checkpoint_reads = reads_done;
@@ -210,6 +215,7 @@ void StableStorage::StoreCheckpoint(const ProcessId& pid, Bytes state, uint64_t 
     log.info.log_bytes += entry.packet.size();
   }
   log.info.log_entries = log.entries.size();
+  total_bytes_ += RetainedBytes(log);
   RefreshAccounting();
   if (backend_ != nullptr) {
     // §3.3.1: the checkpoint must be reliably stored before the log prefix
@@ -258,15 +264,10 @@ Status StableStorage::ImportEntry(const Bytes& blob, NodeId node) {
   }
   log.info.home_node = node;
   log.info.recovering = false;  // The destination's recovery manager re-arms it.
-  moved_.erase(pid);
-  // Any annexed stragglers are subsumed: the imported log is authoritative,
-  // and duplicates of annex ids are filtered by its ever_logged set.
-  annex_.erase(pid);
-  logs_[pid] = std::move(log);
+  InstallLog(pid, std::move(log));
   // Journal the post-remap image (install first, then encode from the
   // installed entry): a rebuilt recorder re-installs it verbatim.
   Journal(StorageJournal::EncodeImportProcess(*this, pid));
-  RefreshAccounting();
   return Status::Ok();
 }
 
@@ -276,9 +277,28 @@ void StableStorage::DropEntry(const ProcessId& pid, NodeId moved_to) {
     return;
   }
   Journal(StorageJournal::EncodeDropProcess(pid, moved_to));
-  logs_.erase(it);
-  moved_[pid] = moved_to;
+  RemoveLog(pid, moved_to);
+}
+
+void StableStorage::InstallLog(const ProcessId& pid, ProcessLog log) {
+  // A process may migrate back: clear its moved-away tombstone.  Any annexed
+  // stragglers are subsumed too: the installed log is authoritative, and
+  // duplicates of annex ids are filtered by its ever_logged set.
+  moved_.erase(pid);
+  annex_.erase(pid);
+  ProcessLog& slot = logs_[pid];
+  total_bytes_ = total_bytes_ - RetainedBytes(slot) + RetainedBytes(log);
+  slot = std::move(log);
   RefreshAccounting();
+}
+
+void StableStorage::RemoveLog(const ProcessId& pid, NodeId moved_to) {
+  auto it = logs_.find(pid);
+  if (it != logs_.end()) {
+    total_bytes_ -= RetainedBytes(it->second);
+    logs_.erase(it);
+  }
+  moved_[pid] = moved_to;
 }
 
 Result<NodeId> StableStorage::MovedTo(const ProcessId& pid) const {
@@ -503,25 +523,16 @@ uint64_t StableStorage::IncrementRestartNumber() {
   return restart_number_;
 }
 
-size_t StableStorage::TotalBytes() const {
-  size_t total = 0;
-  for (const auto& [pid, log] : logs_) {
-    total += log.info.log_bytes + log.info.checkpoint_bytes;
-  }
-  return total;
-}
-
 size_t StableStorage::TotalPages() const {
   // Messages are buffered into 4 KB pages per process (§4.5); each process's
   // log occupies whole pages.
   size_t pages = 0;
   for (const auto& [pid, log] : logs_) {
-    size_t bytes = log.info.log_bytes + log.info.checkpoint_bytes;
-    pages += (bytes + kPageBytes - 1) / kPageBytes;
+    pages += (RetainedBytes(log) + kPageBytes - 1) / kPageBytes;
   }
   return pages;
 }
 
-void StableStorage::RefreshAccounting() { peak_bytes_ = std::max(peak_bytes_, TotalBytes()); }
+void StableStorage::RefreshAccounting() { peak_bytes_ = std::max(peak_bytes_, total_bytes_); }
 
 }  // namespace publishing

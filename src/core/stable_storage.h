@@ -248,7 +248,11 @@ class StableStorage {
   uint64_t restart_number() const { return restart_number_; }
 
   // --- Accounting (§5.1 storage results) ---
-  size_t TotalBytes() const;
+  // Bytes retained for replay (logs plus checkpoints; annex frames are not
+  // counted).  O(1): kept as a running total by every mutator, so the
+  // publish path does not depend on how many processes the recorder knows.
+  size_t TotalBytes() const { return total_bytes_; }
+  // Walks every process log (cold path).
   size_t TotalPages() const;
   size_t PeakBytes() const { return peak_bytes_; }
   uint64_t messages_stored() const { return messages_stored_; }
@@ -288,6 +292,18 @@ class StableStorage {
   friend class StorageJournal;
 
   ProcessLog& Ensure(const ProcessId& pid);
+  static size_t RetainedBytes(const ProcessLog& log) {
+    return log.info.log_bytes + log.info.checkpoint_bytes;
+  }
+  // The one path by which a whole entry enters logs_ (migration import, and
+  // its journal and snapshot replays): replaces any existing entry for `pid`,
+  // clears its moved-away tombstone and annex, adjusts total_bytes_ by the
+  // delta and refreshes the peak.
+  void InstallLog(const ProcessId& pid, ProcessLog log);
+  // The one path by which an entry leaves logs_ (migration drop, live and
+  // replayed): erases it if present, subtracts its bytes from total_bytes_
+  // and leaves a moved-away tombstone pointing at `moved_to`.
+  void RemoveLog(const ProcessId& pid, NodeId moved_to);
   void RefreshAccounting();
   // Recomputes by_id/read_order from `entries` — the cold path used after
   // checkpoint compaction and snapshot restore (StorageJournal fills
@@ -330,6 +346,8 @@ class StableStorage {
   uint64_t restart_number_ = 0;
   uint64_t messages_stored_ = 0;
   uint64_t straggler_appends_ = 0;
+  // Σ RetainedBytes over logs_, maintained in place by every mutation.
+  size_t total_bytes_ = 0;
   size_t peak_bytes_ = 0;
   StorageBackend* backend_ = nullptr;
   std::function<uint64_t()> clock_;

@@ -520,8 +520,7 @@ Status StorageJournal::Apply(StableStorage& db, std::span<const uint8_t> record)
     case JournalOp::kDropProcess: {
       READ_OR_RETURN(pid, r.ReadProcessId());
       READ_OR_RETURN(moved_to, r.ReadNodeId());
-      db.logs_.erase(pid);
-      db.moved_[pid] = moved_to;
+      db.RemoveLog(pid, moved_to);
       return Status::Ok();
     }
     case JournalOp::kSnapshotBegin: {
@@ -537,6 +536,7 @@ Status StorageJournal::Apply(StableStorage& db, std::span<const uint8_t> record)
       db.next_arrival_ = 1;
       db.restart_number_ = 0;
       db.messages_stored_ = 0;
+      db.total_bytes_ = 0;
       db.peak_bytes_ = 0;
       return Status::Ok();
     }
@@ -596,7 +596,7 @@ Status StorageJournal::ApplySnapshotProcess(StableStorage& db, Reader& r) {
   if (!status.ok()) {
     return status;
   }
-  db.logs_[pid] = std::move(log);
+  db.InstallLog(pid, std::move(log));
   return Status::Ok();
 }
 
@@ -612,8 +612,7 @@ Status StorageJournal::ApplyImportProcess(StableStorage& db, Reader& r) {
   for (const LogEntry& entry : log.entries) {
     db.next_arrival_ = std::max(db.next_arrival_, entry.arrival + 1);
   }
-  db.moved_.erase(pid);
-  db.logs_[pid] = std::move(log);
+  db.InstallLog(pid, std::move(log));
   return Status::Ok();
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+
+#include "src/common/rng.h"
 #include "src/core/stable_storage.h"
+#include "src/storage/recovered_db.h"
+#include "src/storage/wal.h"
 
 namespace publishing {
 namespace {
@@ -179,6 +186,95 @@ TEST(StableStorage, DestroyedProcessAcceptsNoMoreMessages) {
   storage.RecordDestruction(Pid(1, 2));
   storage.AppendMessage(Pid(1, 2), Mid(Pid(1, 3), 1), Bytes{1});
   EXPECT_TRUE(storage.ReplayList(Pid(1, 2)).empty());
+}
+
+// Σ retained bytes over the processes the store reports, the quantity
+// TotalBytes() keeps as a running total.
+size_t SumOfInfoBytes(const StableStorage& storage) {
+  size_t sum = 0;
+  for (const ProcessId& pid : storage.AllProcesses()) {
+    auto info = storage.Info(pid);
+    EXPECT_TRUE(info.ok());
+    sum += info->log_bytes + info->checkpoint_bytes;
+  }
+  return sum;
+}
+
+TEST(StableStorage, RunningByteTotalMatchesPerProcessSumUnderRandomOps) {
+  namespace fs = std::filesystem;
+  WalOptions options;
+  options.dir = (fs::path(testing::TempDir()) / "pub_stable_storage_accounting").string();
+  fs::remove_all(options.dir);
+  options.group_commit_records = 8;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok());
+
+  constexpr size_t kProcesses = 200;
+  constexpr int kOps = 4000;
+  StableStorage db;
+  db.AttachBackend(wal->get());
+  std::vector<ProcessId> pids;
+  for (uint32_t i = 0; i < kProcesses; ++i) {
+    pids.push_back(Pid(1 + i % 4, 100 + i));
+    db.RecordCreation(pids.back(), "prog", {}, NodeId{1 + i % 4});
+  }
+  const ProcessId sender = Pid(7, 1);
+  // Exported blobs awaiting import.  A blob whose process was not dropped
+  // replaces the live entry when it is imported.
+  std::map<ProcessId, Bytes> exported;
+  Rng rng(20261018);
+  size_t running_max = 0;
+  for (int op = 0; op < kOps; ++op) {
+    SCOPED_TRACE(op);
+    const ProcessId& pid = pids[rng.NextBelow(kProcesses)];
+    // A small id space per process makes duplicate appends (retransmits)
+    // and reads of already-compacted ids common.
+    const MessageId id = Mid(sender, pid.local * 1000 + rng.NextBelow(48));
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 45) {
+      // Lands in the annex when `pid` has moved away.
+      db.AppendMessage(pid, id, Bytes(1 + rng.NextBelow(300), static_cast<uint8_t>(op)));
+    } else if (kind < 65) {
+      db.RecordRead(pid, id);
+    } else if (kind < 77) {
+      db.StoreCheckpoint(pid, Bytes(rng.NextBelow(512), 0xC5), rng.NextBelow(24));
+    } else if (kind < 80) {
+      db.RecordDestruction(pid);
+    } else if (kind < 90) {
+      auto blob = db.ExportEntry(pid);
+      if (blob.ok()) {
+        exported[pid] = *blob;
+        if (kind < 87) {
+          db.DropEntry(pid, NodeId{9});
+        }
+      }
+    } else if (!exported.empty()) {
+      auto it = exported.begin();
+      std::advance(it, rng.NextBelow(exported.size()));
+      const NodeId home{static_cast<uint32_t>(1 + rng.NextBelow(4))};
+      ASSERT_TRUE(db.ImportEntry(it->second, home).ok());
+      exported.erase(it);
+    }
+    if (op == kOps / 2) {
+      // A snapshot mid-run: the rebuild below then starts from snapshot
+      // records and replays the second half incrementally.
+      ASSERT_TRUE(wal->get()->CompactNow());
+    }
+    const size_t sum = SumOfInfoBytes(db);
+    running_max = std::max(running_max, sum);
+    ASSERT_EQ(db.TotalBytes(), sum);
+    ASSERT_EQ(db.PeakBytes(), running_max);
+  }
+  EXPECT_GT(db.straggler_appends(), 0u) << "the sequence must reach the annex";
+  ASSERT_TRUE(db.Flush().ok());
+  wal->reset();
+
+  auto rebuilt = RecoverStableStorage(options.dir);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->TotalBytes(), db.TotalBytes());
+  EXPECT_EQ(rebuilt->PeakBytes(), db.PeakBytes());
+  EXPECT_EQ(SumOfInfoBytes(*rebuilt), db.TotalBytes());
+  fs::remove_all(options.dir);
 }
 
 }  // namespace

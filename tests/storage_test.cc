@@ -285,6 +285,7 @@ void ExpectEquivalent(const StableStorage& got, const StableStorage& want) {
   EXPECT_EQ(got.restart_number(), want.restart_number());
   EXPECT_EQ(got.messages_stored(), want.messages_stored());
   EXPECT_EQ(got.TotalBytes(), want.TotalBytes());
+  EXPECT_EQ(got.PeakBytes(), want.PeakBytes());
   EXPECT_EQ(got.AllProcesses(), want.AllProcesses());
   for (const ProcessId& pid : want.AllProcesses()) {
     SCOPED_TRACE(ToString(pid));
@@ -535,6 +536,73 @@ TEST(RecoveredDb, StragglerAnnexSurvivesCompactionAndReplay) {
   EXPECT_LT(annex[0].arrival, annex[1].arrival);
   EXPECT_LT(annex[1].arrival, annex[2].arrival);
   EXPECT_TRUE(recovered->AnnexedProcesses().empty()) << "TakeAnnex must drain";
+}
+
+TEST(RecoveredDb, RebuiltPeakBytesMatchesLiveAfterImport) {
+  WalOptions options;
+  options.dir = TestDir("recover_import_peak");
+  options.group_commit_records = 1;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok());
+
+  // The exporting side: one process with a 4,000 B log.
+  const ProcessId moved = Pid(1, 100);
+  const ProcessId sender = Pid(2, 200);
+  StableStorage source;
+  source.RecordCreation(moved, "echo", {}, NodeId{1});
+  source.AppendMessage(moved, Mid(sender, 1), MakePayload(4000, 0x10));
+  auto blob = source.ExportEntry(moved);
+  ASSERT_TRUE(blob.ok());
+
+  // The importing side already holds a 100 B log; the import lifts both the
+  // running total and the peak to 4,100 B.
+  StableStorage live;
+  live.AttachBackend(wal->get());
+  const ProcessId resident = Pid(3, 300);
+  live.RecordCreation(resident, "echo", {}, NodeId{3});
+  live.AppendMessage(resident, Mid(sender, 2), MakePayload(100, 0x20));
+  ASSERT_TRUE(live.ImportEntry(*blob, NodeId{3}).ok());
+  EXPECT_EQ(live.TotalBytes(), 4100u);
+  EXPECT_EQ(live.PeakBytes(), 4100u);
+  ASSERT_TRUE(live.Flush().ok());
+  wal->reset();
+
+  auto rebuilt = RecoverStableStorage(options.dir);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->TotalBytes(), live.TotalBytes());
+  EXPECT_EQ(rebuilt->PeakBytes(), live.PeakBytes());
+}
+
+TEST(RecoveredDb, RebuiltImportDropsAnnexLikeLive) {
+  WalOptions options;
+  options.dir = TestDir("recover_import_annex");
+  options.group_commit_records = 1;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok());
+
+  // A process migrates away, a straggler lands in the annex, and then the
+  // process migrates back: the re-imported log subsumes the annex.
+  StableStorage live;
+  live.AttachBackend(wal->get());
+  const ProcessId p = Pid(1, 100);
+  const ProcessId sender = Pid(2, 200);
+  live.RecordCreation(p, "echo", {}, NodeId{1});
+  live.AppendMessage(p, Mid(sender, 1), MakePayload(20, 0x01));
+  auto blob = live.ExportEntry(p);
+  ASSERT_TRUE(blob.ok());
+  live.DropEntry(p, NodeId{9});
+  live.AppendMessage(p, Mid(sender, 2), MakePayload(20, 0x02));
+  ASSERT_EQ(live.AnnexedProcesses(), std::vector<ProcessId>{p});
+  ASSERT_TRUE(live.ImportEntry(*blob, NodeId{1}).ok());
+  EXPECT_TRUE(live.AnnexedProcesses().empty());
+  ASSERT_TRUE(live.Flush().ok());
+  wal->reset();
+
+  auto rebuilt = RecoverStableStorage(options.dir);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->AnnexedProcesses(), live.AnnexedProcesses());
+  EXPECT_FALSE(rebuilt->MovedTo(p).ok());
+  ExpectEquivalent(*rebuilt, live);
 }
 
 TEST(Wal, CheckpointTriggersCompactionViaGrowthPolicy) {

@@ -46,6 +46,7 @@ void ExpectEquivalent(const StableStorage& got, const StableStorage& want) {
   EXPECT_EQ(got.restart_number(), want.restart_number());
   EXPECT_EQ(got.messages_stored(), want.messages_stored());
   EXPECT_EQ(got.TotalBytes(), want.TotalBytes());
+  EXPECT_EQ(got.PeakBytes(), want.PeakBytes());
   ASSERT_EQ(got.AllProcesses(), want.AllProcesses());
   for (const ProcessId& pid : want.AllProcesses()) {
     SCOPED_TRACE(ToString(pid));
