@@ -14,26 +14,33 @@
 //   - recorder publish-path saturation: how many overheard messages per
 //     wall-clock second the record-and-append path absorbs, with one
 //     destination process and with 4,096 (the population sweep: the
-//     per-message cost must not grow with the processes the recorder knows).
+//     per-message cost must not grow with the processes the recorder knows);
+//   - CRC-32 ns/KiB at 64 B, 1.5 KiB and 4 KiB for the slicing-by-8 Crc32
+//     against an in-file byte-at-a-time table CRC (the previous
+//     implementation), which every guaranteed message pays four times.
 //
 // The binary exits non-zero if the determinism self-check fails (two
 // identical instrumented runs must serialize byte-identical metrics), if the
-// fault-free publish path copies payload bytes, or if the saturation rate at
-// 4,096 processes falls below a quarter of the rate at one, so CI can gate
-// on it.
+// fault-free publish path copies payload bytes, if the saturation rate at
+// 4,096 processes falls below a quarter of the rate at one, or if Crc32 is
+// less than 2x the bytewise CRC at 4 KiB, so CI can gate on it.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/buffer.h"
+#include "src/common/checksum.h"
+#include "src/common/rng.h"
 #include "src/core/publishing_system.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
@@ -359,6 +366,91 @@ void RunRecorderSaturation(BenchJson& json) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32: slicing-by-8 against the previous byte-at-a-time table loop, kept
+// here as the measurement baseline.  Both compute the same value.
+// ---------------------------------------------------------------------------
+
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t state = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    state = table[(state ^ byte) & 0xFF] ^ (state >> 8);
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
+// Wall ns per KiB checksummed, over ~16 MiB of `size`-byte buffers.  Each
+// result feeds the next buffer's first byte, so no call can be skipped or
+// hoisted.
+template <typename Fn>
+double CrcNsPerKib(Fn crc, Bytes& data) {
+  const size_t calls = std::max<size_t>(1, (size_t{16} << 20) / data.size());
+  uint32_t acc = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < calls; ++i) {
+    data[0] = static_cast<uint8_t>(acc);
+    acc = crc(std::span<const uint8_t>(data.data(), data.size()));
+  }
+  const double elapsed = SecondsSince(start);
+  benchmark::DoNotOptimize(acc);
+  return elapsed * 1e9 / (static_cast<double>(calls * data.size()) / 1024.0);
+}
+
+void RunCrcBench(BenchJson& json) {
+  PrintHeader("CRC-32: slicing-by-8 vs bytewise table (ns per KiB)");
+  constexpr double kMinSpeedup = 2.0;
+  Rng rng(0xC4C32);
+  double ns_per_kib = 0;
+  double bytewise_ns_per_kib = 0;
+  for (size_t size : {size_t{64}, size_t{1536}, size_t{4096}}) {
+    Bytes data(size);
+    for (uint8_t& b : data) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    const std::span<const uint8_t> span(data.data(), data.size());
+    if (Crc32(span) != BytewiseCrc32(span)) {
+      std::fprintf(stderr, "hot_path: FAIL — Crc32 differs from the bytewise CRC at %zu B\n",
+                   size);
+      std::exit(1);
+    }
+    // Interleaved, best of 3 each, so host drift hits both alike.
+    double best = std::numeric_limits<double>::infinity();
+    double best_bytewise = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 3; ++round) {
+      best_bytewise = std::min(best_bytewise, CrcNsPerKib(BytewiseCrc32, data));
+      best = std::min(best, CrcNsPerKib(Crc32, data));
+    }
+    std::printf("  %5zu B : bytewise %7.0f ns/KiB, slicing-by-8 %7.0f ns/KiB, %5.2fx\n", size,
+                best_bytewise, best, best_bytewise / best);
+    ns_per_kib = best;
+    bytewise_ns_per_kib = best_bytewise;
+  }
+  // The headline keys are the 4 KiB point, the last of the sweep.
+  const double speedup = bytewise_ns_per_kib / ns_per_kib;
+  std::printf("  speedup at 4096 B : %.2fx (gate >= %.2f)\n", speedup, kMinSpeedup);
+  json.Set("crc32_ns_per_kib", ns_per_kib);
+  json.Set("crc32_bytewise_ns_per_kib", bytewise_ns_per_kib);
+  json.Set("crc32_speedup", speedup);
+  if (speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "hot_path: FAIL — Crc32 at 4096 B is %.2fx the bytewise CRC "
+                 "(expected >= %.2f)\n",
+                 speedup, kMinSpeedup);
+    std::exit(1);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Determinism self-check: two identical instrumented runs (including a crash
 // and recovery) must serialize byte-identical metrics.
 // ---------------------------------------------------------------------------
@@ -442,6 +534,7 @@ int main(int argc, char** argv) {
   publishing::RunEventThroughput(json);
   publishing::RunFramePathBench(json);
   publishing::RunRecorderSaturation(json);
+  publishing::RunCrcBench(json);
   publishing::RunDeterminismCheck(json);
   json.Write();
   benchmark::Initialize(&argc, argv);

@@ -1,35 +1,64 @@
 #include "src/common/checksum.h"
 
 #include <array>
+#include <bit>
+#include <cstddef>
+#include <cstring>
 
 namespace publishing {
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Word loads below read the frame's little-endian byte order directly.
+static_assert(std::endian::native == std::endian::little,
+              "slicing-by-8 CRC assumes a little-endian host");
+
+constexpr uint32_t kPolynomial = 0xEDB88320u;  // Reflected IEEE 802.3.
+
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+// tables[0] is the classic one-byte table.  tables[k][b] is the CRC state
+// contribution of byte b followed by k zero bytes, so eight lookups (one per
+// table) advance the state over eight input bytes at once.
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      c = (c & 1) ? (kPolynomial ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
-}
+constexpr Tables kTables = BuildTables();
 
 }  // namespace
 
 uint32_t Crc32Init() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Table();
-  for (uint8_t byte : data) {
-    state = table[(state ^ byte) & 0xFF] ^ (state >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= state;
+    state = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+            kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+            kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = kTables[0][(state ^ *p) & 0xFF] ^ (state >> 8);
   }
   return state;
 }

@@ -2,6 +2,12 @@
 // all messages with a rotating checksum") and by the token-ring recorder-ack
 // trick (§6.1.2: the recorder complements the trailing checksum to invalidate
 // a frame it failed to record).
+//
+// It runs over every byte of a guaranteed message at the sender, the
+// recorder, each receiver and the WAL, so it is computed slicing-by-8:
+// eight compile-time 256-entry tables advance the state 8 bytes per step,
+// with a bytewise tail.  The values are those of the byte-at-a-time table
+// CRC over the same polynomial.
 
 #ifndef SRC_COMMON_CHECKSUM_H_
 #define SRC_COMMON_CHECKSUM_H_

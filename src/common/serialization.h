@@ -26,6 +26,10 @@ class Writer {
  public:
   Writer() = default;
 
+  // Reserves room for `n` bytes in total, so a caller that knows its final
+  // size (header + blobs + a trailer a lower layer appends) allocates once.
+  void Reserve(size_t n) { bytes_.reserve(n); }
+
   void WriteU8(uint8_t v) { bytes_.push_back(v); }
   void WriteU16(uint16_t v) { WriteLittleEndian(v); }
   void WriteU32(uint32_t v) { WriteLittleEndian(v); }

@@ -22,8 +22,13 @@
 
 namespace publishing {
 
+// The CRC-32 trailer LinkWrap appends (little-endian).  Serializers reserve
+// it up front so the append happens in place.
+inline constexpr size_t kLinkTrailerBytes = 4;
+
 // Appends a CRC32 trailer to `body` (in place — takes ownership) and freezes
-// the result as the frame's shared link-layer payload.
+// the result as the frame's shared link-layer payload.  No reallocation when
+// `body` has kLinkTrailerBytes of spare capacity (SerializePacket/Ack do).
 Buffer LinkWrap(Bytes body);
 
 // Validates the CRC trailer.  Returns a zero-copy slice of `payload` with

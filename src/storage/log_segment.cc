@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -15,6 +16,20 @@ constexpr char kMagic[kSegmentMagicBytes] = {'P', 'U', 'B', 'W', 'A', 'L', '0', 
 Status IoError(const char* what, const std::string& path) {
   return Status(StatusCode::kInternal,
                 std::string(what) + " " + path + ": " + std::strerror(errno));
+}
+
+using RecordFrameHeader = std::array<uint8_t, kRecordFrameOverhead>;
+
+// len u32 | crc32(payload) u32, little-endian.
+RecordFrameHeader EncodeRecordFrameHeader(std::span<const uint8_t> payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload);
+  RecordFrameHeader header;
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    header[i] = static_cast<uint8_t>(len >> (8 * i));
+    header[sizeof(uint32_t) + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return header;
 }
 }  // namespace
 
@@ -52,10 +67,7 @@ Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
 }
 
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload) {
-  Writer w;
-  w.WriteU32(static_cast<uint32_t>(payload.size()));
-  w.WriteU32(Crc32(payload));
-  const Bytes& header = w.bytes();
+  const RecordFrameHeader header = EncodeRecordFrameHeader(payload);
   out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), payload.begin(), payload.end());
 }
@@ -119,13 +131,15 @@ Status SegmentWriter::Append(std::span<const uint8_t> payload) {
   if (payload.empty()) {
     return Status::Ok();
   }
-  Bytes frame;
-  frame.reserve(kRecordFrameOverhead + payload.size());
-  AppendRecordFrame(frame, payload);
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  // Header and payload go straight into the stdio buffer.  A short second
+  // write leaves a frame whose length points past end-of-file: a torn tail,
+  // exactly as a short single write would.
+  const RecordFrameHeader header = EncodeRecordFrameHeader(payload);
+  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size() ||
+      std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size()) {
     return IoError("cannot append to segment", path_);
   }
-  bytes_ += frame.size();
+  bytes_ += header.size() + payload.size();
   return Status::Ok();
 }
 

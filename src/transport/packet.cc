@@ -1,9 +1,13 @@
 #include "src/transport/packet.h"
 
+#include "src/net/link_layer.h"
+
 namespace publishing {
 
 Bytes SerializePacket(const Packet& packet) {
   Writer w;
+  w.Reserve(kPacketFixedBytes + packet.link_blob.size() + packet.body.size() +
+            kLinkTrailerBytes);
   w.WriteMessageId(packet.header.id);
   w.WriteProcessId(packet.header.src_process);
   w.WriteProcessId(packet.header.dst_process);
@@ -78,6 +82,7 @@ Result<Packet> ParsePacket(std::span<const uint8_t> bytes) {
 
 Bytes SerializeAck(const AckPacket& ack) {
   Writer w;
+  w.Reserve(kAckBytes + kLinkTrailerBytes);
   w.WriteMessageId(ack.acked);
   w.WriteNodeId(ack.from);
   w.WriteNodeId(ack.to);

@@ -71,10 +71,21 @@ struct AckPacket {
   NodeId to;    // Original sender node.
 };
 
+// Serialized sizes.  A packet is a fixed 47-byte header (message id 16,
+// source and destination process 8 + 8, source and destination node 4 + 4,
+// channel 2, code 4, flags 1) plus two u32-length-prefixed blobs (link, body);
+// kPacketFixedBytes is everything but the blob contents.  An ack is its
+// message id and two node ids.
+inline constexpr size_t kPacketHeaderBytes = 47;
+inline constexpr size_t kPacketFixedBytes = kPacketHeaderBytes + 2 * sizeof(uint32_t);
+inline constexpr size_t kAckBytes = 24;
+
 // Parsers take spans so both owned Bytes and shared Buffer views flow in
 // without materializing a copy; ParsePacket is the exact inverse of
 // SerializePacket (the recorder relies on this to append the overheard wire
-// bytes directly instead of re-serializing).
+// bytes directly instead of re-serializing).  The serializers reserve the
+// exact size plus the link trailer, so LinkWrap appends the CRC in place and
+// a frame costs one allocation.
 Bytes SerializePacket(const Packet& packet);
 Result<Packet> ParsePacket(std::span<const uint8_t> bytes);
 

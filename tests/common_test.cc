@@ -127,6 +127,28 @@ TEST_P(SerializationSweep, ByteStringsOfAllSizesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SerializationSweep,
                          ::testing::Values(0, 1, 2, 3, 127, 128, 1024, 65536));
 
+// Bitwise CRC-32 straight from the polynomial: the oracle the table-driven
+// implementation must match.
+uint32_t ReferenceCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+Bytes SeededBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  return data;
+}
+
 TEST(Checksum, KnownVector) {
   // CRC32("123456789") = 0xCBF43926 (the classic check value).
   const char* s = "123456789";
@@ -143,6 +165,30 @@ TEST(Checksum, IncrementalMatchesOneShot) {
   state = Crc32Update(state, std::span<const uint8_t>(data.data(), 400));
   state = Crc32Update(state, std::span<const uint8_t>(data.data() + 400, 600));
   EXPECT_EQ(Crc32Final(state), Crc32(std::span<const uint8_t>(data.data(), data.size())));
+
+  // Every split of a 64-byte buffer, so a split lands on and off each
+  // 8-byte step boundary.
+  const Bytes seeded = SeededBytes(64, 42);
+  const std::span<const uint8_t> all(seeded.data(), seeded.size());
+  const uint32_t one_shot = Crc32(all);
+  ASSERT_EQ(one_shot, ReferenceCrc32(all));
+  for (size_t split = 0; split <= all.size(); ++split) {
+    state = Crc32Update(Crc32Init(), all.first(split));
+    state = Crc32Update(state, all.subspan(split));
+    EXPECT_EQ(Crc32Final(state), one_shot) << "split " << split;
+  }
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0-300 from every start offset 0-7 covers the 8-byte step,
+  // the bytewise tail and unaligned word loads.
+  const Bytes data = SeededBytes(300 + 8, 0xC0FFEE);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::span<const uint8_t> span(data.data() + offset, len);
+      ASSERT_EQ(Crc32(span), ReferenceCrc32(span)) << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 class ChecksumCorruption : public ::testing::TestWithParam<size_t> {};

@@ -77,6 +77,38 @@ TEST(Transport, AckSerializationRoundTrip) {
   EXPECT_EQ(parsed->to, NodeId{5});
 }
 
+// The serializers reserve the frame's exact size plus the link trailer, so
+// LinkWrap appends the CRC without reallocating (and copying) the frame.
+TEST(Transport, PacketFramingAllocatesOnce) {
+  for (size_t body_bytes : {0, 8, 1500, 4096}) {
+    for (size_t blob_bytes : {0, 16}) {
+      Packet packet;
+      packet.header.id = MessageId{ProcessId{NodeId{1}, 2}, 3};
+      packet.link_blob = Bytes(blob_bytes, 0x11);
+      packet.body = Bytes(body_bytes, 0x22);
+      Bytes bytes = SerializePacket(packet);
+      EXPECT_EQ(bytes.size(), kPacketFixedBytes + blob_bytes + body_bytes);
+      EXPECT_EQ(bytes.capacity(), bytes.size() + kLinkTrailerBytes)
+          << "body " << body_bytes << " blob " << blob_bytes;
+      const uint8_t* serialized = bytes.data();
+      const Buffer frame = LinkWrap(std::move(bytes));
+      EXPECT_EQ(frame.data(), serialized) << "body " << body_bytes << " blob " << blob_bytes;
+      EXPECT_TRUE(LinkUnwrap(frame).ok());
+    }
+  }
+}
+
+TEST(Transport, AckFramingAllocatesOnce) {
+  AckPacket ack{MessageId{ProcessId{NodeId{1}, 2}, 3}, NodeId{4}, NodeId{5}};
+  Bytes bytes = SerializeAck(ack);
+  EXPECT_EQ(bytes.size(), kAckBytes);
+  EXPECT_EQ(bytes.capacity(), bytes.size() + kLinkTrailerBytes);
+  const uint8_t* serialized = bytes.data();
+  const Buffer frame = LinkWrap(std::move(bytes));
+  EXPECT_EQ(frame.data(), serialized);
+  EXPECT_TRUE(LinkUnwrap(frame).ok());
+}
+
 TEST(Transport, GuaranteedDeliveryOnCleanNetwork) {
   Net net;
   for (uint64_t i = 1; i <= 20; ++i) {
