@@ -30,20 +30,11 @@ void Gateway::SetObservability(const Observability& obs, std::string_view label)
   lifecycle_ = obs.lifecycle;
   counters_.clear();
   if (obs.metrics != nullptr) {
-    const MetricLabels labels = {{"gateway", std::string(label)}};
-    // Every part stats() merges binds the same four counters.
-    std::vector<const GatewayStats*> parts = {&control_stats_};
-    for (const auto& egress : egresses_) {
-      parts.push_back(&egress->ingress_stats);
-      parts.push_back(&egress->forward_stats);
-    }
-    for (const GatewayStats* part : parts) {
-      obs.metrics->BindCounters(&counters_, labels,
-                                {{"gateway.frames_forwarded", &part->frames_forwarded},
-                                 {"gateway.bytes_forwarded", &part->bytes_forwarded},
-                                 {"gateway.dropped_queue_full", &part->dropped_queue_full},
-                                 {"gateway.dropped_down", &part->dropped_down}});
-    }
+    obs.metrics->BindCounters(&counters_, {{"gateway", std::string(label)}},
+                              {{"gateway.frames_forwarded", &stats_.frames_forwarded},
+                               {"gateway.bytes_forwarded", &stats_.bytes_forwarded},
+                               {"gateway.dropped_queue_full", &stats_.dropped_queue_full},
+                               {"gateway.dropped_down", &stats_.dropped_down}});
     for (auto& egress : egresses_) {
       egress->depth_gauge = obs.metrics->GetGauge(
           "gateway.queue_depth",
@@ -62,7 +53,7 @@ void Gateway::SetDown(bool down) {
   down_ = down;
   if (down_) {
     for (auto& egress : egresses_) {
-      control_stats_.dropped_down += egress->queue.size();
+      stats_.dropped_down += egress->queue.size();
       egress->queue.clear();
       egress->queued_bytes = 0;
       egress->draining = false;
@@ -72,22 +63,6 @@ void Gateway::SetDown(bool down) {
       }
     }
   }
-}
-
-GatewayStats Gateway::stats() const {
-  GatewayStats sum = control_stats_;
-  for (const auto& egress : egresses_) {
-    const GatewayStats* parts[] = {&egress->ingress_stats, &egress->forward_stats};
-    for (const GatewayStats* part : parts) {
-      sum.frames_forwarded += part->frames_forwarded;
-      sum.bytes_forwarded += part->bytes_forwarded;
-      sum.dropped_queue_full += part->dropped_queue_full;
-      sum.dropped_down += part->dropped_down;
-      sum.ignored_not_owner += part->ignored_not_owner;
-      sum.ignored_unroutable += part->ignored_unroutable;
-    }
-  }
-  return sum;
 }
 
 Gateway::Egress* Gateway::FindEgress(size_t segment) {
@@ -100,9 +75,6 @@ Gateway::Egress* Gateway::FindEgress(size_t segment) {
 }
 
 void Gateway::OnIngress(size_t segment, const Frame& frame) {
-  // The port we heard the frame on; every counter this function touches
-  // lives there.
-  Egress* ingress = FindEgress(segment);
   const int32_t dst_segment =
       frame.dst == kBroadcastNode ? -1 : map_->SegmentOf(frame.dst);
   if (dst_segment < 0 || static_cast<size_t>(dst_segment) == segment) {
@@ -111,33 +83,32 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
   }
   auto hop = map_->Route(segment, static_cast<size_t>(dst_segment));
   if (!hop.has_value()) {
-    ++ingress->ingress_stats.ignored_unroutable;
+    ++stats_.ignored_unroutable;
     return;
   }
   if (hop->gateway != index_) {
     // The designated next hop is another gateway; staying silent here is
     // what guarantees no frame is forwarded twice.
-    ++ingress->ingress_stats.ignored_not_owner;
+    ++stats_.ignored_not_owner;
     return;
   }
   if (down_) {
     // The supervisor still routes through us but we are dead: the frame is
     // lost until the map reroutes or we restart (retransmission covers it).
-    ++ingress->ingress_stats.dropped_down;
+    ++stats_.dropped_down;
     return;
   }
   Egress* egress = FindEgress(hop->egress);
   if (egress == nullptr) {
-    ++ingress->ingress_stats.ignored_unroutable;
+    ++stats_.ignored_unroutable;
     return;
   }
   const size_t wire_bytes = frame.WireBytes();
   if (egress->queue.size() >= options_.max_queue_frames ||
       egress->queued_bytes + wire_bytes > options_.max_queue_bytes) {
     // Bounded store-and-forward: drop and let the end-to-end retransmission
-    // back-pressure the sender.  The loss charges the ingress side — it is
-    // this domain's event, and the forward side may be mid-drain elsewhere.
-    ++ingress->ingress_stats.dropped_queue_full;
+    // back-pressure the sender.
+    ++stats_.dropped_queue_full;
     return;
   }
   // The frame's payload and gather segments are shared buffers — queueing is
@@ -151,7 +122,7 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
   }
   if (!egress->draining) {
     egress->draining = true;
-    egress->drain_sim = ingress->medium->sim();
+    egress->drain_sim = FindEgress(segment)->medium->sim();  // The ingress port's.
     for (size_t i = 0; i < egresses_.size(); ++i) {
       if (egresses_[i].get() == egress) {
         egress->drain_sim->ScheduleAfter(options_.forward_latency,
@@ -176,8 +147,8 @@ void Gateway::DrainOne(size_t egress_index) {
     egress.depth_gauge->Set(static_cast<double>(egress.queue.size()));
   }
 
-  ++egress.forward_stats.frames_forwarded;
-  egress.forward_stats.bytes_forwarded += frame.WireBytes();
+  ++stats_.frames_forwarded;
+  stats_.bytes_forwarded += frame.WireBytes();
   // Ack frames carry no causal stamp; ObserveForwarded's validity guard
   // skips them, matching the medium's kOnWire convention.
   if (lifecycle_ != nullptr && frame.causal.valid() &&

@@ -20,12 +20,10 @@
 //
 // Domains (DESIGN.md §15): each segment runs on its own simulation domain,
 // and a gateway is the only object shared between two of them.  Everything
-// reached from an ingress event on segment A — the ingress-side counters of
-// port A, plus the queue, pacing timer, and forward counters of the egress
-// port A feeds — is scheduled on domain A; the final `Medium::Send` onto the
-// egress segment crosses domains through `Simulator::ScheduleOnAfter` with
-// `handoff_latency`.  The counters are kept per port and `stats()` merges
-// them on read.
+// reached from an ingress event on segment A — plus the queue and pacing
+// timer of the egress port A feeds — is scheduled on domain A; the final
+// `Medium::Send` onto the egress segment crosses domains through
+// `Simulator::ScheduleOnAfter` with `handoff_latency`.
 
 #ifndef SRC_INTERNET_GATEWAY_H_
 #define SRC_INTERNET_GATEWAY_H_
@@ -87,10 +85,9 @@ class Gateway {
   NodeId node() const { return node_; }
   size_t index() const { return index_; }
 
-  // Merged view of the per-port counters.
-  GatewayStats stats() const;
+  const GatewayStats& stats() const { return stats_; }
 
-  // Binds the per-port stats to the `gateway.*{gateway=label}` counters,
+  // Binds the stats to the `gateway.*{gateway=label}` counters,
   // resolves one `gateway.queue_depth{gateway,egress}` gauge per attached
   // egress (updated on every enqueue/drain/flush), and keeps the lifecycle
   // tracker for kForwarded observations.  Attach every segment before
@@ -112,11 +109,7 @@ class Gateway {
     Medium* medium = nullptr;
     std::unique_ptr<Port> port;
 
-    // Ingress side of this port: counters for frames that arrived *on* this
-    // segment, written by events on this segment's domain.
-    GatewayStats ingress_stats;
-
-    // Store-and-forward state *toward* this segment, written by events on
+    // Store-and-forward state *toward* this segment, driven by events on
     // the domain of the port that feeds this egress (the gateway's other
     // port); `drain_sim` is that feeding domain's simulator, latched at
     // enqueue.
@@ -125,7 +118,6 @@ class Gateway {
     size_t queued_bytes = 0;
     bool draining = false;
     Simulator* drain_sim = nullptr;
-    GatewayStats forward_stats;
     Gauge* depth_gauge = nullptr;  // gateway.queue_depth{gateway,egress}.
   };
 
@@ -140,11 +132,11 @@ class Gateway {
   GatewayOptions options_;
   bool down_ = false;
   std::vector<std::unique_ptr<Egress>> egresses_;
-  GatewayStats control_stats_;  // SetDown flushes; control-plane writes only.
+  GatewayStats stats_;
 
   // Observability handles (null = detached).
   LifecycleTracker* lifecycle_ = nullptr;
-  std::vector<CounterBinding> counters_;  // gateway.* read the stats above.
+  std::vector<CounterBinding> counters_;  // gateway.* read stats_.
 };
 
 }  // namespace publishing

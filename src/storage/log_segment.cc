@@ -1,5 +1,6 @@
 #include "src/storage/log_segment.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -18,32 +19,31 @@ Status IoError(const char* what, const std::string& path) {
                 std::string(what) + " " + path + ": " + std::strerror(errno));
 }
 
-using RecordFrameHeader = std::array<uint8_t, kRecordFrameOverhead>;
-
-// len u32 | crc32(payload) u32, little-endian.
-RecordFrameHeader EncodeRecordFrameHeader(std::span<const uint8_t> payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  RecordFrameHeader header;
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
-    header[i] = static_cast<uint8_t>(len >> (8 * i));
-    header[sizeof(uint32_t) + i] = static_cast<uint8_t>(crc >> (8 * i));
+void PutLe(uint8_t* out, uint64_t v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return header;
+}
+
+uint64_t GetLe(const uint8_t* in, size_t n) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < n; ++i) {
+    v |= static_cast<uint64_t>(in[i]) << (8 * i);
+  }
+  return v;
 }
 }  // namespace
 
-Bytes EncodeSegmentHeader(uint64_t seq, uint32_t version) {
+Bytes EncodeSegmentHeader(uint64_t seq) {
   Writer w;
   w.WriteRaw(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(kMagic),
                                       kSegmentMagicBytes));
-  w.WriteU32(version);
+  w.WriteU32(kSegmentVersion);
   w.WriteU64(seq);
   return w.TakeBytes();
 }
 
-Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
-                                     uint32_t* version_out) {
+Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data) {
   if (data.size() < kSegmentHeaderBytes) {
     return Status(StatusCode::kCorrupt, "segment shorter than its header");
   }
@@ -51,24 +51,19 @@ Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
     return Status(StatusCode::kCorrupt, "bad segment magic");
   }
   Reader r(data.subspan(kSegmentMagicBytes));
-  auto version = r.ReadU32();
-  if (!version.ok() || (*version != kSegmentFormatVersion &&
-                        *version != kSegmentFormatVersionLsn)) {
-    return Status(StatusCode::kCorrupt, "unsupported segment format version");
+  const uint32_t version = *r.ReadU32();
+  if (version != kSegmentVersion) {
+    return Status(StatusCode::kInvalidArgument,
+                  "unsupported segment format version " + std::to_string(version));
   }
-  auto seq = r.ReadU64();
-  if (!seq.ok()) {
-    return seq.status();
-  }
-  if (version_out != nullptr) {
-    *version_out = *version;
-  }
-  return *seq;
+  return *r.ReadU64();
 }
 
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload) {
-  const RecordFrameHeader header = EncodeRecordFrameHeader(payload);
-  out.insert(out.end(), header.begin(), header.end());
+  uint8_t header[kRecordFrameOverhead];
+  PutLe(header, payload.size(), 4);
+  PutLe(header + 4, Crc32(payload), 4);
+  out.insert(out.end(), header, header + kRecordFrameOverhead);
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -107,7 +102,7 @@ FrameDecodeResult DecodeRecordFrame(std::span<const uint8_t> data, size_t offset
 
 SegmentWriter::~SegmentWriter() { Close(); }
 
-Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t version) {
+Status SegmentWriter::Open(const std::string& path, uint64_t seq) {
   Close();
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -116,7 +111,7 @@ Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t versi
   path_ = path;
   seq_ = seq;
   bytes_ = 0;
-  Bytes header = EncodeSegmentHeader(seq, version);
+  Bytes header = EncodeSegmentHeader(seq);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     return IoError("cannot write segment header", path_);
   }
@@ -124,22 +119,26 @@ Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t versi
   return Status::Ok();
 }
 
-Status SegmentWriter::Append(std::span<const uint8_t> payload) {
+Status SegmentWriter::Append(uint64_t lsn, std::span<const uint8_t> record) {
   if (file_ == nullptr) {
     return Status(StatusCode::kInternal, "segment writer is closed");
   }
-  if (payload.empty()) {
-    return Status::Ok();
-  }
-  // Header and payload go straight into the stdio buffer.  A short second
-  // write leaves a frame whose length points past end-of-file: a torn tail,
+  // len | crc | lsn on the stack; the CRC chains over the LSN bytes and then
+  // the record, so the record itself is never copied.  A short second write
+  // leaves a frame whose length points past end-of-file: a torn tail,
   // exactly as a short single write would.
-  const RecordFrameHeader header = EncodeRecordFrameHeader(payload);
-  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size() ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size()) {
+  std::array<uint8_t, kRecordFrameOverhead + kLsnBytes> prefix;
+  uint8_t* lsn_bytes = prefix.data() + kRecordFrameOverhead;
+  PutLe(lsn_bytes, lsn, kLsnBytes);
+  uint32_t crc = Crc32Update(Crc32Init(), std::span<const uint8_t>(lsn_bytes, kLsnBytes));
+  crc = Crc32Final(Crc32Update(crc, record));
+  PutLe(prefix.data(), kLsnBytes + record.size(), 4);
+  PutLe(prefix.data() + 4, crc, 4);
+  if (std::fwrite(prefix.data(), 1, prefix.size(), file_) != prefix.size() ||
+      std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
     return IoError("cannot append to segment", path_);
   }
-  bytes_ += header.size() + payload.size();
+  bytes_ += prefix.size() + record.size();
   return Status::Ok();
 }
 
@@ -163,45 +162,59 @@ void SegmentWriter::Close() {
   }
 }
 
-Result<SegmentScan> ScanSegment(const std::string& path) {
+Status ReadSegmentFile(const std::string& path, Bytes& out) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     return IoError("cannot open segment", path);
   }
-  Bytes data;
-  uint8_t chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + n);
+  struct stat st;
+  if (::fstat(::fileno(file), &st) != 0) {
+    std::fclose(file);
+    return IoError("cannot stat segment", path);
   }
+  out.clear();  // Nothing of the previous file is copied on growth.
+  out.resize(static_cast<size_t>(st.st_size));
+  const size_t n = std::fread(out.data(), 1, out.size(), file);
   const bool read_error = std::ferror(file) != 0;
   std::fclose(file);
   if (read_error) {
     return IoError("cannot read segment", path);
   }
+  out.resize(n);  // A file that shrank under us reads as its shorter self.
+  return Status::Ok();
+}
 
-  uint32_t version = kSegmentFormatVersion;
-  auto seq = DecodeSegmentHeader(data, &version);
+Result<SegmentScan> ScanSegment(const std::string& path) {
+  SegmentScan scan;
+  Status status = ReadSegmentFile(path, scan.data);
+  if (!status.ok()) {
+    return status;
+  }
+  auto seq = DecodeSegmentHeader(scan.data);
   if (!seq.ok()) {
     return seq.status();
   }
-  SegmentScan scan;
   scan.seq = *seq;
-  scan.version = version;
   size_t offset = kSegmentHeaderBytes;
   for (;;) {
-    FrameDecodeResult frame = DecodeRecordFrame(data, offset);
-    if (frame.parse == FrameParse::kOk) {
-      scan.records.emplace_back(frame.payload.begin(), frame.payload.end());
-      offset = frame.next_offset;
-      continue;
+    FrameDecodeResult frame = DecodeRecordFrame(scan.data, offset);
+    if (frame.parse == FrameParse::kOk && frame.payload.size() < kLsnBytes) {
+      frame.parse = FrameParse::kCorrupt;  // CRC-valid, yet no writer made it.
     }
-    scan.tail = frame.parse;
-    scan.clean = frame.parse == FrameParse::kEnd;
-    break;
+    if (frame.parse != FrameParse::kOk) {
+      scan.tail = frame.parse;
+      scan.clean = frame.parse == FrameParse::kEnd;
+      break;
+    }
+    SegmentRecord record;
+    record.lsn = GetLe(frame.payload.data(), kLsnBytes);
+    record.offset = offset + kRecordFrameOverhead + kLsnBytes;
+    record.size = static_cast<uint32_t>(frame.payload.size() - kLsnBytes);
+    scan.records.push_back(record);
+    offset = frame.next_offset;
   }
   scan.valid_bytes = offset;
-  scan.dropped_bytes = data.size() - offset;
+  scan.dropped_bytes = scan.data.size() - offset;
   return scan;
 }
 

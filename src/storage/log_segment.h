@@ -2,21 +2,23 @@
 // recorder's durable log (§4.5: "it is possible to rebuild the data base
 // from the disk").
 //
-// A segment is a header followed by length-prefixed records:
+// A segment is a header followed by length-prefixed records, each carrying
+// the 8-byte global log sequence number (LSN) the WAL assigned it:
 //
 //   +--------------------------------------------+
 //   | magic "PUBWAL01" (8) | version u32 | seq u64|   20-byte header
 //   +--------------------------------------------+
-//   | len u32 | crc32(payload) u32 | payload ... |   record frame
-//   | len u32 | crc32(payload) u32 | payload ... |
+//   | len u32 | crc32 u32 | lsn u64 | record ... |   record frame
+//   | len u32 | crc32 u32 | lsn u64 | record ... |
 //   | ...                                        |
 //
-// All integers are little-endian (the Writer/Reader convention).  A crash
-// mid-append leaves a *torn tail*: a record whose length field points past
-// end-of-file, a partial frame header, or a payload whose CRC does not
-// match.  ScanSegment() stops at the first such frame and reports the valid
-// prefix, so recovery drops exactly the unacknowledged tail and nothing
-// else.
+// `len` and `crc32` cover the frame payload: the LSN followed by the
+// journal record.  All integers are little-endian (the Writer/Reader
+// convention).  A crash mid-append leaves a *torn tail*: a record whose
+// length field points past end-of-file, a partial frame header, or a
+// payload whose CRC does not match.  ScanSegment() stops at the first such
+// frame and reports the valid prefix, so recovery drops exactly the
+// unacknowledged tail and nothing else.
 
 #ifndef SRC_STORAGE_LOG_SEGMENT_H_
 #define SRC_STORAGE_LOG_SEGMENT_H_
@@ -32,13 +34,10 @@
 
 namespace publishing {
 
-inline constexpr uint32_t kSegmentFormatVersion = 1;
-// Version 2: every record payload is prefixed with an 8-byte little-endian
-// global log sequence number (LSN).  The striped WAL writes v2 segments so
-// recovery can merge per-stripe chains back into one total order; v1
-// segments (single-chain layout) remain readable.
-inline constexpr uint32_t kSegmentFormatVersionLsn = 2;
-inline constexpr size_t kLsnPrefixBytes = 8;
+// The only format this build reads or writes.  Version 1 (records without an
+// LSN) is refused, never skipped: its records would silently vanish.
+inline constexpr uint32_t kSegmentVersion = 2;
+inline constexpr size_t kLsnBytes = 8;
 inline constexpr size_t kSegmentMagicBytes = 8;
 inline constexpr size_t kSegmentHeaderBytes = kSegmentMagicBytes + 4 + 8;
 inline constexpr size_t kRecordFrameOverhead = 8;  // len + crc.
@@ -48,13 +47,14 @@ inline constexpr size_t kRecordFrameOverhead = 8;  // len + crc.
 inline constexpr uint32_t kMaxRecordBytes = 64u << 20;
 
 // Returns the 20-byte segment header for segment `seq`.
-Bytes EncodeSegmentHeader(uint64_t seq, uint32_t version = kSegmentFormatVersion);
-// Validates a header; returns the segment sequence number.  `version_out`
-// (optional) receives the format version (1 or 2).
-Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
-                                     uint32_t* version_out = nullptr);
+Bytes EncodeSegmentHeader(uint64_t seq);
+// Validates a header; returns the segment sequence number.  A short header
+// or bad magic is kCorrupt (damage, e.g. a crash right after creation); a
+// good magic with a version other than kSegmentVersion is kInvalidArgument
+// (a layout this build cannot read).
+Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data);
 
-// Appends one framed record to `out`.
+// Appends one framed payload to `out`.
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload);
 
 enum class FrameParse {
@@ -99,9 +99,10 @@ class SegmentWriter {
   }
 
   // Creates `path` (truncating any old file) and writes the header.
-  Status Open(const std::string& path, uint64_t seq,
-              uint32_t version = kSegmentFormatVersion);
-  Status Append(std::span<const uint8_t> payload);
+  Status Open(const std::string& path, uint64_t seq);
+  // Appends `record` framed with its LSN.  The record is written from the
+  // caller's buffer; only the 16-byte len|crc|lsn prefix is built here.
+  Status Append(uint64_t lsn, std::span<const uint8_t> record);
   Status Sync();
   void Close();
 
@@ -118,23 +119,36 @@ class SegmentWriter {
   size_t bytes_ = 0;
 };
 
+// One record of a scanned segment: its LSN and where the journal record
+// (past the LSN) sits in the file.
+struct SegmentRecord {
+  uint64_t lsn = 0;
+  size_t offset = 0;
+  uint32_t size = 0;
+};
+
 struct SegmentScan {
   uint64_t seq = 0;
-  uint32_t version = kSegmentFormatVersion;
-  // Raw record payloads in append order.  In a v2 segment each payload still
-  // carries its 8-byte LSN prefix; the caller strips it.
-  std::vector<Bytes> records;
+  Bytes data;                          // The whole file.
+  std::vector<SegmentRecord> records;  // In append order.
   bool clean = true;          // False when a torn/corrupt tail was dropped.
   FrameParse tail = FrameParse::kEnd;
   size_t valid_bytes = 0;     // Length of the parseable prefix.
   size_t dropped_bytes = 0;   // Bytes past the valid prefix.
+
+  std::span<const uint8_t> record(size_t i) const {
+    return std::span<const uint8_t>(data).subspan(records[i].offset, records[i].size);
+  }
 };
 
-// Reads a whole segment file, stopping at the first torn or corrupt frame.
-// Only an unreadable file or a bad header is an error; a damaged tail is
-// reported via `clean`/`tail`, because that is the expected shape of a
-// crash.
+// Reads a whole segment file, stopping at the first torn or corrupt frame (a
+// CRC-valid frame too short to hold an LSN counts as corrupt).  Only an
+// unreadable file or a bad header is an error; a damaged tail is reported
+// via `clean`/`tail`, because that is the expected shape of a crash.
 Result<SegmentScan> ScanSegment(const std::string& path);
+
+// Reads the raw bytes of `path` into `out`, reusing its capacity.
+Status ReadSegmentFile(const std::string& path, Bytes& out);
 
 }  // namespace publishing
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/core/storage_journal.h"
@@ -18,45 +19,21 @@ bool IsSnapshotOp(JournalOp op) {
          op == JournalOp::kSnapshotEnd;
 }
 
-// v1 replay of one segment: records in append order, dangling snapshot
-// detected by a kSnapshotBegin with no kSnapshotEnd later in the *same*
-// segment (a v1 compaction writes the whole snapshot into one segment).
-void ReplaySegmentV1(StableStorage& db, const SegmentScan& scan, const std::string& path,
-                     RecoveryReport& report) {
-  size_t keep = scan.records.size();
-  bool open_snapshot = false;
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    const JournalOp op = StorageJournal::OpOf(scan.records[i]);
-    if (op == JournalOp::kSnapshotBegin) {
-      keep = i;
-      open_snapshot = true;
-    } else if (op == JournalOp::kSnapshotEnd) {
-      keep = scan.records.size();
-      open_snapshot = false;
-    }
-  }
-  if (open_snapshot) {
-    ++report.dangling_snapshots;
-    report.records_skipped += scan.records.size() - keep;
-  }
-  for (size_t i = 0; i < keep; ++i) {
-    Status status = StorageJournal::Apply(db, scan.records[i]);
-    if (!status.ok()) {
-      PUB_LOG_ERROR("recovery: skipping record %zu of %s: %s", i, path.c_str(),
-                    status.ToString().c_str());
-      ++report.records_skipped;
-      continue;
-    }
-    ++report.records_applied;
-    if (StorageJournal::OpOf(scan.records[i]) == JournalOp::kSnapshotEnd) {
-      ++report.snapshots_applied;
-    }
-  }
-}
-
-struct LsnRecord {
+// What pass 1 keeps of a record: enough to order it, validate snapshot
+// blocks and find it again, but not its bytes.
+struct RecordKey {
   uint64_t lsn = 0;
-  Bytes record;  // LSN prefix already stripped.
+  size_t offset = 0;            // Of the journal record in its segment file.
+  uint32_t segment = 0;         // Index into the scanned segments.
+  uint32_t size = 0;
+  uint32_t snapshot_count = 0;  // kSnapshotEnd only: the block's length.
+  JournalOp op = JournalOp::kInvalid;
+  bool in_complete_block = false;
+};
+
+struct ScannedSegment {
+  std::string path;
+  size_t stripe = 0;
 };
 
 }  // namespace
@@ -71,123 +48,130 @@ Result<StableStorage> RecoverStableStorage(const std::string& dir, RecoveryRepor
     }
     return db;  // Nothing on disk: a brand-new recorder.
   }
+  Status layout = CheckNoTopLevelSegments(dir);
+  if (!layout.ok()) {
+    return layout;
+  }
   auto stripe_dirs = ListStripePaths(dir);
   if (!stripe_dirs.ok()) {
     return stripe_dirs.status();
   }
 
-  // Phase 1: top-level segments.  For a v1 directory this is the whole log;
-  // for a striped directory these are legacy pre-striping segments and every
-  // LSN-framed record postdates them, so they replay first either way.
-  auto paths = ListSegmentPaths(dir);
-  if (!paths.ok()) {
-    return paths.status();
-  }
-  std::vector<LsnRecord> merged;
-  for (const std::string& path : *paths) {
-    auto scan = ScanSegment(path);
-    if (!scan.ok()) {
-      PUB_LOG_ERROR("recovery: skipping unreadable segment %s: %s", path.c_str(),
-                    scan.status().ToString().c_str());
-      ++local.torn_segments;
-      continue;
-    }
-    ++local.segments_scanned;
-    if (!scan->clean) {
-      ++local.torn_segments;
-      local.dropped_tail_bytes += scan->dropped_bytes;
-    }
-    ReplaySegmentV1(db, *scan, path, local);
-  }
-
-  // Phase 2: stripe chains.  Strip each record's LSN prefix and merge the
-  // chains back into the one global order the recorder journaled in.
-  for (const std::string& stripe_dir : *stripe_dirs) {
+  // Pass 1: scan one segment at a time and keep a key per record.
+  std::vector<ScannedSegment> segments;
+  std::vector<RecordKey> keys;
+  for (size_t s = 0; s < stripe_dirs->size(); ++s) {
     ++local.stripes_scanned;
-    auto stripe_paths = ListSegmentPaths(stripe_dir);
-    if (!stripe_paths.ok()) {
-      return stripe_paths.status();
+    auto paths = ListSegmentPaths((*stripe_dirs)[s]);
+    if (!paths.ok()) {
+      return paths.status();
     }
-    for (const std::string& path : *stripe_paths) {
+    for (const std::string& path : *paths) {
       auto scan = ScanSegment(path);
       if (!scan.ok()) {
+        if (scan.status().code() == StatusCode::kInvalidArgument) {
+          return Status(StatusCode::kInvalidArgument, path + ": " + scan.status().message());
+        }
         PUB_LOG_ERROR("recovery: skipping unreadable segment %s: %s", path.c_str(),
                       scan.status().ToString().c_str());
         ++local.torn_segments;
         continue;
       }
       ++local.segments_scanned;
+      local.max_segment_bytes_held =
+          std::max<uint64_t>(local.max_segment_bytes_held, scan->data.size());
       if (!scan->clean) {
         ++local.torn_segments;
         local.dropped_tail_bytes += scan->dropped_bytes;
       }
-      if (scan->version != kSegmentFormatVersionLsn) {
-        // A v1 segment inside a stripe directory should not happen; replay
-        // it standalone rather than losing it.
-        ReplaySegmentV1(db, *scan, path, local);
-        continue;
-      }
-      for (Bytes& payload : scan->records) {
-        if (payload.size() < kLsnPrefixBytes) {
-          ++local.records_skipped;
-          continue;
+      const auto segment = static_cast<uint32_t>(segments.size());
+      segments.push_back({path, s});
+      for (size_t i = 0; i < scan->records.size(); ++i) {
+        const std::span<const uint8_t> record = scan->record(i);
+        RecordKey key;
+        key.lsn = scan->records[i].lsn;
+        key.offset = scan->records[i].offset;
+        key.segment = segment;
+        key.size = scan->records[i].size;
+        key.op = StorageJournal::OpOf(record);
+        if (key.op == JournalOp::kSnapshotEnd) {
+          auto count = StorageJournal::SnapshotEndCount(record);
+          if (count.ok() && *count <= std::numeric_limits<uint32_t>::max()) {
+            key.snapshot_count = static_cast<uint32_t>(*count);
+          }
         }
-        LsnRecord entry;
-        for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-          entry.lsn |= static_cast<uint64_t>(payload[i]) << (8 * i);
-        }
-        entry.record.assign(payload.begin() + kLsnPrefixBytes, payload.end());
-        merged.push_back(std::move(entry));
+        keys.push_back(key);
       }
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const LsnRecord& a, const LsnRecord& b) { return a.lsn < b.lsn; });
+  std::sort(keys.begin(), keys.end(),
+            [](const RecordKey& a, const RecordKey& b) { return a.lsn < b.lsn; });
 
-  // Snapshot-block validation: a concurrent compaction reserved the block
+  // Snapshot-block validation: compaction reserved the block
   // [end_lsn - n + 1, end_lsn] up front, so the block is trustworthy exactly
   // when that whole range survived — every LSN present (they are unique and
   // sorted, so presence is index arithmetic) and the first record is the
   // begin marker.  Anything less is a crash mid-rewrite; its records are
   // dropped and the pre-capture segments (still on disk) carry the data.
-  std::vector<bool> in_complete_block(merged.size(), false);
-  for (size_t e = 0; e < merged.size(); ++e) {
-    if (StorageJournal::OpOf(merged[e].record) != JournalOp::kSnapshotEnd) {
+  for (size_t e = 0; e < keys.size(); ++e) {
+    const uint32_t count = keys[e].snapshot_count;
+    if (keys[e].op != JournalOp::kSnapshotEnd || count == 0 || count > e + 1) {
       continue;
     }
-    auto count = StorageJournal::SnapshotEndCount(merged[e].record);
-    if (!count.ok() || *count == 0 || *count > e + 1) {
-      continue;
-    }
-    const size_t b = e + 1 - static_cast<size_t>(*count);
-    if (merged[e].lsn - merged[b].lsn != *count - 1 ||
-        StorageJournal::OpOf(merged[b].record) != JournalOp::kSnapshotBegin) {
+    const size_t b = e + 1 - count;
+    if (keys[e].lsn - keys[b].lsn != count - 1 || keys[b].op != JournalOp::kSnapshotBegin) {
       continue;
     }
     for (size_t i = b; i <= e; ++i) {
-      in_complete_block[i] = true;
+      keys[i].in_complete_block = true;
     }
   }
 
-  for (size_t i = 0; i < merged.size(); ++i) {
-    const JournalOp op = StorageJournal::OpOf(merged[i].record);
-    if (IsSnapshotOp(op) && !in_complete_block[i]) {
+  // Pass 2: apply in LSN order, each record straight from its stripe's
+  // loaded segment.  Compaction seals every stripe before it reserves its
+  // block, so only post-capture segments interleave block and live records,
+  // and a segment is loaded at most twice.
+  constexpr uint32_t kNoSegment = std::numeric_limits<uint32_t>::max();
+  std::vector<Bytes> loaded(stripe_dirs->size());
+  std::vector<uint32_t> loaded_segment(stripe_dirs->size(), kNoSegment);
+  for (const RecordKey& key : keys) {
+    if (IsSnapshotOp(key.op) && !key.in_complete_block) {
       ++local.records_skipped;
-      if (op == JournalOp::kSnapshotBegin) {
+      if (key.op == JournalOp::kSnapshotBegin) {
         ++local.dangling_snapshots;
       }
       continue;
     }
-    Status status = StorageJournal::Apply(db, merged[i].record);
+    const ScannedSegment& segment = segments[key.segment];
+    Bytes& data = loaded[segment.stripe];
+    if (loaded_segment[segment.stripe] != key.segment) {
+      loaded_segment[segment.stripe] = key.segment;
+      Status status = ReadSegmentFile(segment.path, data);
+      if (!status.ok()) {
+        PUB_LOG_ERROR("recovery: cannot reload segment %s: %s", segment.path.c_str(),
+                      status.ToString().c_str());
+        data.clear();
+      }
+      uint64_t held = 0;
+      for (const Bytes& bytes : loaded) {
+        held += bytes.size();
+      }
+      local.max_segment_bytes_held = std::max(local.max_segment_bytes_held, held);
+    }
+    if (key.offset + key.size > data.size()) {
+      ++local.records_skipped;
+      continue;
+    }
+    Status status =
+        StorageJournal::Apply(db, std::span<const uint8_t>(data).subspan(key.offset, key.size));
     if (!status.ok()) {
       PUB_LOG_ERROR("recovery: skipping merged record lsn=%llu: %s",
-                    static_cast<unsigned long long>(merged[i].lsn),
-                    status.ToString().c_str());
+                    static_cast<unsigned long long>(key.lsn), status.ToString().c_str());
       ++local.records_skipped;
       continue;
     }
     ++local.records_applied;
-    if (op == JournalOp::kSnapshotEnd) {
+    if (key.op == JournalOp::kSnapshotEnd) {
       ++local.snapshots_applied;
     }
   }

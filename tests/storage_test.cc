@@ -108,7 +108,7 @@ TEST(LogSegment, WriteScanRoundTrip) {
     for (int i = 0; i < 10; ++i) {
       payloads.push_back(MakePayload(16 + static_cast<size_t>(i) * 13,
                                      static_cast<uint8_t>(i)));
-      ASSERT_TRUE(writer.Append(payloads.back()).ok());
+      ASSERT_TRUE(writer.Append(100 + static_cast<uint64_t>(i), payloads.back()).ok());
     }
     ASSERT_TRUE(writer.Sync().ok());
   }
@@ -120,8 +120,32 @@ TEST(LogSegment, WriteScanRoundTrip) {
   EXPECT_EQ(scan->dropped_bytes, 0u);
   ASSERT_EQ(scan->records.size(), payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(scan->records[i], payloads[i]);
+    EXPECT_EQ(scan->records[i].lsn, 100 + i);
+    EXPECT_EQ(Bytes(scan->record(i).begin(), scan->record(i).end()), payloads[i]);
   }
+}
+
+// The frame payload is the 8-byte LSN followed by the record, and the frame
+// CRC covers both: what the writer streams from two buffers must decode as
+// one ordinary frame.
+TEST(LogSegment, AppendFramesLsnThenRecord) {
+  const std::string dir = TestDir("segment_lsn_frame");
+  const std::string path = dir + "/wal-0000000001.seg";
+  const Bytes record = MakePayload(37, 0x11);
+  {
+    SegmentWriter writer;
+    ASSERT_TRUE(writer.Open(path, 1).ok());
+    ASSERT_TRUE(writer.Append(0x0102030405060708ULL, record).ok());
+    EXPECT_EQ(writer.bytes(), kSegmentHeaderBytes + kRecordFrameOverhead + kLsnBytes + 37);
+    ASSERT_TRUE(writer.Sync().ok());
+  }
+  Bytes expected = EncodeSegmentHeader(1);
+  Bytes payload = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  payload.insert(payload.end(), record.begin(), record.end());
+  AppendRecordFrame(expected, payload);
+  Bytes written;
+  ASSERT_TRUE(ReadSegmentFile(path, written).ok());
+  EXPECT_EQ(written, expected);
 }
 
 // Satellite: a crash mid-write can truncate the file at ANY byte of the last
@@ -139,7 +163,7 @@ TEST(LogSegment, TruncateAtEveryByteOffsetDropsOnlyTornTail) {
       payloads.push_back(MakePayload(24 + static_cast<size_t>(i) * 7,
                                      static_cast<uint8_t>(0x40 + i)));
       last_frame_start = writer.bytes();
-      ASSERT_TRUE(writer.Append(payloads.back()).ok());
+      ASSERT_TRUE(writer.Append(static_cast<uint64_t>(i) + 1, payloads.back()).ok());
     }
     ASSERT_TRUE(writer.Sync().ok());
   }
@@ -154,7 +178,8 @@ TEST(LogSegment, TruncateAtEveryByteOffsetDropsOnlyTornTail) {
     ASSERT_TRUE(scan.ok()) << "cut at " << cut;
     ASSERT_EQ(scan->records.size(), payloads.size() - 1) << "cut at " << cut;
     for (size_t i = 0; i + 1 < payloads.size(); ++i) {
-      EXPECT_EQ(scan->records[i], payloads[i]) << "cut at " << cut;
+      EXPECT_EQ(Bytes(scan->record(i).begin(), scan->record(i).end()), payloads[i])
+          << "cut at " << cut;
     }
     if (cut == last_frame_start) {
       // Truncation exactly on the frame boundary looks like a clean end.
@@ -223,7 +248,7 @@ TEST(Wal, RollsSegmentsAndReopenStartsFresh) {
       ASSERT_TRUE((*wal)->Append(MakePayload(100, static_cast<uint8_t>(i)), 0).ok());
     }
     EXPECT_GT((*wal)->SegmentCount(), 1u);
-    auto paths = ListSegmentPaths(options.dir);
+    auto paths = ListSegmentPaths(StripePath(options.dir, 0));
     ASSERT_TRUE(paths.ok());
     EXPECT_EQ(paths->size(), (*wal)->SegmentCount());
     auto last = ScanSegment(paths->back());
@@ -236,13 +261,14 @@ TEST(Wal, RollsSegmentsAndReopenStartsFresh) {
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(MakePayload(10, 0xaa), 0).ok());
   ASSERT_TRUE((*wal)->Sync().ok());
-  auto paths = ListSegmentPaths(options.dir);
+  auto paths = ListSegmentPaths(StripePath(options.dir, 0));
   ASSERT_TRUE(paths.ok());
   auto last = ScanSegment(paths->back());
   ASSERT_TRUE(last.ok());
   EXPECT_GT(last->seq, highest_seq);
   ASSERT_EQ(last->records.size(), 1u);
-  EXPECT_EQ(last->records[0], MakePayload(10, 0xaa));
+  EXPECT_EQ(last->records[0].lsn, 21u) << "LSNs continue past the reopened log's 20";
+  EXPECT_EQ(Bytes(last->record(0).begin(), last->record(0).end()), MakePayload(10, 0xaa));
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +422,7 @@ TEST(RecoveredDb, TornTailDropsOnlyLastRecord) {
   wal->reset();
 
   // Tear the tail: chop bytes off the last (only) segment's final record.
-  auto paths = ListSegmentPaths(options.dir);
+  auto paths = ListSegmentPaths(StripePath(options.dir, 0));
   ASSERT_TRUE(paths.ok());
   ASSERT_FALSE(paths->empty());
   const std::string& last = paths->back();
@@ -461,8 +487,10 @@ TEST(Wal, CompactionRewritesLiveImageAndDeletesOldSegments) {
   ASSERT_TRUE(wal->get()->CompactNow());
   EXPECT_EQ(wal->get()->stats().compactions, 1u);
   EXPECT_GT(wal->get()->stats().compaction_segments_deleted, 0u);
-  // Snapshot segment + fresh active segment.
-  EXPECT_EQ(wal->get()->SegmentCount(), 2u);
+  // The capture sealed the old active segment and the snapshot block went
+  // into the fresh one, where later appends continue: the block fits in
+  // one segment, so that segment is all that is left.
+  EXPECT_EQ(wal->get()->SegmentCount(), 1u);
 
   // Post-compaction appends land after the snapshot and must survive too.
   durable.AppendMessage(Pid(2, 200), Mid(Pid(1, 100), 51), MakePayload(80, 51));
@@ -659,16 +687,18 @@ TEST(RecoveredDb, DanglingSnapshotIsIgnored) {
   ASSERT_TRUE(durable.Flush().ok());
   wal->reset();
 
-  // Hand-write a snapshot segment with the end marker missing, as if the
-  // compactor died between the last record and the fsync barrier (the old
-  // segments are only deleted after the barrier, so they are still here).
+  // Hand-write a segment holding the start of a snapshot block whose end
+  // marker never made it, as if the compactor died between the last record
+  // and the fsync barrier (the old segments are only deleted after the
+  // barrier, so they are still here).  The block's LSNs follow the log's.
   std::vector<Bytes> snapshot = StorageJournal::SnapshotRecords(reference);
   ASSERT_GT(snapshot.size(), 2u);
   snapshot.resize(2);  // kSnapshotBegin + first process image, no end.
   SegmentWriter writer;
-  ASSERT_TRUE(writer.Open(SegmentPath(options.dir, 999), 999).ok());
+  ASSERT_TRUE(writer.Open(SegmentPath(StripePath(options.dir, 0), 999), 999).ok());
+  uint64_t lsn = 1000;
   for (const Bytes& record : snapshot) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    ASSERT_TRUE(writer.Append(lsn++, record).ok());
   }
   ASSERT_TRUE(writer.Sync().ok());
   writer.Close();
@@ -686,17 +716,18 @@ TEST(RecoveredDb, DanglingSnapshotIsIgnored) {
 // fatal, and everything around them still applies.
 TEST(RecoveredDb, UndecodableRecordIsSkipped) {
   const std::string dir = TestDir("recover_badrecord");
+  fs::create_directories(StripePath(dir, 0));
   SegmentWriter writer;
-  ASSERT_TRUE(writer.Open(SegmentPath(dir, 1), 1).ok());
+  ASSERT_TRUE(writer.Open(SegmentPath(StripePath(dir, 0), 1), 1).ok());
   Bytes good1 = StorageJournal::EncodeCreate(Pid(1, 100), "pinger", {}, NodeId{1}, true);
   Bytes garbage = {0xee, 0x01, 0x02};  // Unknown op.
   Bytes truncated = StorageJournal::EncodeDestroy(Pid(1, 100));
   truncated.resize(3);  // Valid op byte, torn body.
   Bytes good2 = StorageJournal::EncodeCreate(Pid(2, 200), "echo", {}, NodeId{2}, true);
-  ASSERT_TRUE(writer.Append(good1).ok());
-  ASSERT_TRUE(writer.Append(garbage).ok());
-  ASSERT_TRUE(writer.Append(truncated).ok());
-  ASSERT_TRUE(writer.Append(good2).ok());
+  ASSERT_TRUE(writer.Append(1, good1).ok());
+  ASSERT_TRUE(writer.Append(2, garbage).ok());
+  ASSERT_TRUE(writer.Append(3, truncated).ok());
+  ASSERT_TRUE(writer.Append(4, good2).ok());
   ASSERT_TRUE(writer.Sync().ok());
   writer.Close();
 
